@@ -8,39 +8,13 @@ columns and a stratified cross-validation harness that compares
 classification accuracy on the full versus the reduced attribute set.
 """
 
-from .discretize import IntervalMap, chi_square, chimerge, discretize_columns
+from .discretize import IntervalMap, chimerge, discretize_columns
 from .errors import DataError, ParseError, SchemaError, ValidationError
-from .evaluate import (
-    EvalReport,
-    FoldPlan,
-    compare,
-    cross_validate,
-    nb_predict,
-    nb_train,
-    onenn_predict,
-    stratified_folds,
-)
+from .evaluate import EvalReport, compare, cross_validate, stratified_folds
 from .partition import blocks, consistency, decision_blocks, relative_blocks
-from .reduct import (
-    ReductResult,
-    SimilarityElement,
-    SimilaritySet,
-    ass_gen,
-    comp_sim,
-    run_pipeline,
-    select_pairs,
-    sin_red_gen,
-)
+from .reduct import ReductResult, ass_gen, comp_sim, run_pipeline, sin_red_gen
 from .similarity import SimilarityMatrix, factor, matrix
-from .table import (
-    DecisionTable,
-    RawColumn,
-    from_columns,
-    parse_columns,
-    parse_csv,
-    project,
-    subset,
-)
+from .table import DecisionTable, RawColumn, from_columns, parse_columns
 
 __version__ = "0.1.0"
 
@@ -48,19 +22,15 @@ __all__ = [
     "DataError",
     "DecisionTable",
     "EvalReport",
-    "FoldPlan",
     "IntervalMap",
     "ParseError",
     "RawColumn",
     "ReductResult",
     "SchemaError",
-    "SimilarityElement",
     "SimilarityMatrix",
-    "SimilaritySet",
     "ValidationError",
     "ass_gen",
     "blocks",
-    "chi_square",
     "chimerge",
     "comp_sim",
     "compare",
@@ -71,17 +41,10 @@ __all__ = [
     "factor",
     "from_columns",
     "matrix",
-    "nb_predict",
-    "nb_train",
-    "onenn_predict",
     "parse_columns",
-    "parse_csv",
-    "project",
     "relative_blocks",
     "run_pipeline",
-    "select_pairs",
     "sin_red_gen",
     "stratified_folds",
-    "subset",
     "__version__",
 ]

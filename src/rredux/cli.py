@@ -14,13 +14,14 @@ import csv
 import os
 import sys
 
-from .discretize import DEFAULT_MAX_INTERVALS, chimerge, discretize_columns
+from .discretize import DEFAULT_MAX_INTERVALS, IntervalMap, discretize_columns
+from .discretize import chimerge  # not called here; perfbench/tracer.py rebinds it by name
 from .errors import DataError
 from .evaluate import CLASSIFIERS, compare
 from .jsonout import canonical
 from .partition import consistency
 from .reduct import run_pipeline
-from .table import CATEGORICAL, NUMERIC, DecisionTable, RawColumn, from_columns, parse_columns
+from .table import RawColumn, from_columns, parse_columns
 
 ENV_SEED = "RREDUX_SEED"
 
@@ -76,26 +77,22 @@ def _numeric_flags(args) -> tuple[str, ...] | None:
     return names
 
 
-def _read_columns(args) -> tuple[list[RawColumn], str]:
+def _read_columns(args) -> tuple[list[RawColumn], str, dict[str, IntervalMap]]:
+    """Parse the input, then discretize its numeric columns."""
     if args.max_intervals < 1:
         raise ValueError("max-intervals must be >= 1")
     with open(args.input, "rb") as source:
-        return parse_columns(
+        columns, decision = parse_columns(
             source,
             args.decision_col,
             _numeric_flags(args),
             delimiter=args.delimiter,
             drop_missing=args.drop_missing,
         )
-
-
-def _encode(columns: list[RawColumn], decision: str, args) -> DecisionTable:
-    if any(col.kind == NUMERIC for col in columns):
-        table, _ = discretize_columns(
-            columns, decision, args.chi_threshold, args.max_intervals
-        )
-        return table
-    return from_columns(columns, decision)
+    columns, maps = discretize_columns(
+        columns, decision, args.chi_threshold, args.max_intervals
+    )
+    return columns, decision, maps
 
 
 def _resolve_seed(args) -> int:
@@ -165,8 +162,8 @@ def _render_trace(trace: dict) -> list[str]:
 
 
 def cmd_reduct(args) -> int:
-    columns, decision = _read_columns(args)
-    result = run_pipeline(_encode(columns, decision, args))
+    columns, decision, _ = _read_columns(args)
+    result = run_pipeline(from_columns(columns, decision))
     if args.output == "json":
         payload = {"reduct": list(result.reduct), "isolated": list(result.isolated)}
         if args.trace:
@@ -183,23 +180,10 @@ def cmd_reduct(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    columns, decision = _read_columns(args)
-    labels = next(c.cells for c in columns if c.name == decision)
-    maps = {}
-    converted = []
-    for col in columns:
-        if col.kind != NUMERIC:
-            converted.append(col)
-            continue
-        imap = chimerge(col.cells, labels, args.chi_threshold, args.max_intervals,
-                        attr=col.name)
-        maps[col.name] = imap
-        converted.append(
-            RawColumn(col.name, CATEGORICAL, tuple(imap.label_of(v) for v in col.cells))
-        )
+    columns, _, maps = _read_columns(args)
     writer = csv.writer(sys.stdout, delimiter=args.delimiter, lineterminator="\n")
-    writer.writerow([col.name for col in converted])
-    for row in zip(*(col.cells for col in converted)):
+    writer.writerow([col.name for col in columns])
+    for row in zip(*(col.cells for col in columns)):
         writer.writerow(row)
     if args.emit_cuts:
         payload = {
@@ -215,8 +199,8 @@ def cmd_evaluate(args) -> int:
     if args.folds < 2:
         raise ValueError("folds must be >= 2")
     seed = _resolve_seed(args)
-    columns, decision = _read_columns(args)
-    table = _encode(columns, decision, args)
+    columns, decision, _ = _read_columns(args)
+    table = from_columns(columns, decision)
     result = run_pipeline(table)
     full, reduced = compare(table, result.reduct, args.folds, seed, args.classifier)
     sets = {

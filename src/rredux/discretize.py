@@ -18,7 +18,8 @@ from typing import Hashable, Sequence
 from scipy.stats import chi2
 
 from .errors import ValidationError
-from .table import CATEGORICAL, NUMERIC, DecisionTable, RawColumn, from_columns
+from .table import CATEGORICAL, NUMERIC, RawColumn
+from .table import from_columns  # not called here; perfbench/tracer.py rebinds it by name
 
 DEFAULT_MAX_INTERVALS = 6
 DEFAULT_SIGNIFICANCE = 0.95
@@ -162,11 +163,12 @@ def discretize_columns(
     decision_attr: str,
     threshold: float | None = None,
     max_intervals: int = DEFAULT_MAX_INTERVALS,
-) -> tuple[DecisionTable, dict[str, IntervalMap]]:
+) -> tuple[list[RawColumn], dict[str, IntervalMap]]:
     """Discretize every numeric column against the decision labels.
 
-    Returns the fully categorical table plus the interval map used for
-    each numeric column.
+    Returns the columns in their given order, all categorical, with each
+    numeric column replaced by its interval labels, plus the interval map
+    used for each numeric column.  Categorical columns pass through as is.
     """
     by_name = {c.name: c for c in columns}
     if decision_attr not in by_name:
@@ -188,4 +190,4 @@ def discretize_columns(
         converted.append(
             RawColumn(col.name, CATEGORICAL, tuple(imap.label_of(v) for v in col.cells))
         )
-    return from_columns(converted, decision_attr), maps
+    return converted, maps

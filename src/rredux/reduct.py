@@ -121,8 +121,6 @@ def ass_gen(mat: SimilarityMatrix) -> SimilaritySet:
     Only elements whose factor strictly exceeds the average survive.
     With fewer than two attributes the result is empty.
     """
-    if len(mat.attrs) < 2:
-        return SimilaritySet((), FILTERED, None)
     return _filter_above_average(select_pairs(mat))
 
 
@@ -209,12 +207,8 @@ def run_pipeline(table: DecisionTable) -> ReductResult:
     per-iteration selections and deletions, and the final reduct.
     """
     mat = similarity.matrix(table)
-    if len(mat.attrs) < 2:
-        selected = SimilaritySet((), SELECTED, None)
-        filtered = SimilaritySet((), FILTERED, None)
-    else:
-        selected = select_pairs(mat)
-        filtered = _filter_above_average(selected)
+    selected = select_pairs(mat)
+    filtered = _filter_above_average(selected)
     compound = comp_sim(filtered)
     result = sin_red_gen(compound, table.condition_attrs)
 

@@ -5,8 +5,9 @@ attributes plus one categorical decision attribute.  Cell values are
 stored as dense integer codes assigned in first-appearance order, so
 downstream partitioning and traces are deterministic for a given input.
 
-Numeric columns cannot be encoded directly; ``parse_csv`` hands them back
-as :class:`RawColumn` staging data for the discretizer.  A column counts
+Ingestion is ``parse_columns`` (typed :class:`RawColumn` staging data),
+then ``discretize.discretize_columns`` (numeric columns to ChiMerge
+labels), then ``from_columns`` (the encoded table).  A column counts
 as numeric only when explicitly flagged, or when every cell parses as a
 finite number and at least one cell is written in real form (contains a
 decimal point or exponent).  Integer-only columns are ambiguous -- they
@@ -114,19 +115,29 @@ class DecisionTable:
         return tuple(self.domains[a][c] for a, c in zip(names, self.values[index]))
 
 
+def _records(reader):
+    """The reader's rows, with decoding and csv faults raised as ParseError."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
+
+
 def _read_rows(text, delimiter: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     reader = csv.reader(text, delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty file: no header row") from None
+    records = _records(reader)
+    header = next(records, None)
+    if header is None:
+        raise SchemaError("empty file: no header row")
     seen = set()
     for name in header:
         if name in seen:
             raise SchemaError(f"duplicate column name {name!r} in header")
         seen.add(name)
     rows = []
-    for row in reader:
+    for row in records:
         if not row:
             continue  # blank line
         if len(row) != len(header):
@@ -178,9 +189,12 @@ def parse_columns(
 
     Returns the columns plus the decision column name (default: last
     column).  The decision column is always categorical; see the module
-    docstring for how condition columns are typed.
+    docstring for how condition columns are typed.  A leading byte-order
+    mark is skipped.
     """
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    if len(delimiter) != 1:
+        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     header, numbered = _read_rows(text, delimiter)
     rows = _apply_missing_policy(header, numbered, drop_missing)
 
@@ -216,32 +230,6 @@ def parse_columns(
         else:
             columns.append(RawColumn(name, CATEGORICAL, tuple(cells)))
     return columns, decision
-
-
-def parse_csv(
-    source: BinaryIO,
-    decision_col: str | None = None,
-    numeric_cols: Iterable[str] | None = None,
-    *,
-    delimiter: str = ",",
-    drop_missing: bool = False,
-) -> DecisionTable | list[RawColumn]:
-    """Parse a UTF-8 CSV byte stream with a header row.
-
-    Returns a fully encoded :class:`DecisionTable` when every condition
-    column is categorical, otherwise the list of :class:`RawColumn` in
-    header order so the caller can discretize the numeric ones.
-    """
-    columns, decision = parse_columns(
-        source,
-        decision_col,
-        numeric_cols,
-        delimiter=delimiter,
-        drop_missing=drop_missing,
-    )
-    if any(col.kind == NUMERIC for col in columns):
-        return columns
-    return from_columns(columns, decision)
 
 
 def from_columns(columns: Sequence[RawColumn], decision_attr: str) -> DecisionTable:

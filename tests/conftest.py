@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rredux import DecisionTable, RawColumn, from_columns, parse_csv
+from rredux import DecisionTable, RawColumn, from_columns, parse_columns
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -11,7 +11,7 @@ DATA_DIR = Path(__file__).parent / "data"
 @pytest.fixture
 def admissions() -> DecisionTable:
     with open(DATA_DIR / "admissions.csv", "rb") as f:
-        return parse_csv(f)
+        return from_columns(*parse_columns(f))
 
 
 def make_random_table(

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,98 @@ from rredux.jsonout import canonical
 DATA = Path(__file__).parent / "data"
 ADMISSIONS = str(DATA / "admissions.csv")
 NUMERIC = str(DATA / "numeric_sample.csv")
+
+# numeric x and y around a categorical c and a decision d in the middle
+MIXED_CSV = (
+    "x,c,d,y\n"
+    "1.5,u,A,10.25\n"
+    "2.5,v,A,11.5\n"
+    "3.0,u,A,10.75\n"
+    "7.25,v,B,30.5\n"
+    "8.0,w,B,31.0\n"
+    "8.5,u,B,12.0\n"
+    "4.0,w,C,50.5\n"
+    "4.5,w,C,51.25\n"
+)
+MIXED_DISCRETIZED = (
+    'x,c,d,y\n'
+    '"(-inf, 5.875)",u,A,"(-inf, 11.75)"\n'
+    '"(-inf, 5.875)",v,A,"(-inf, 11.75)"\n'
+    '"(-inf, 5.875)",u,A,"(-inf, 11.75)"\n'
+    '"[5.875, inf)",v,B,"[11.75, inf)"\n'
+    '"[5.875, inf)",w,B,"[11.75, inf)"\n'
+    '"[5.875, inf)",u,B,"[11.75, inf)"\n'
+    '"(-inf, 5.875)",w,C,"[11.75, inf)"\n'
+    '"(-inf, 5.875)",w,C,"[11.75, inf)"\n'
+)
+MIXED_CUTS = (
+    '{"x": {"cut_points": [5.875000], "labels": ["(-inf, 5.875)", "[5.875, inf)"]}, '
+    '"y": {"cut_points": [11.750000], "labels": ["(-inf, 11.75)", "[11.75, inf)"]}}\n'
+)
+# ``reduct --trace --output json`` on numeric_sample.csv, byte for byte
+NUMERIC_TRACE_JSON = (
+    '{"isolated": [], "reduct": ["na", "mg", "al"]'
+    ', "trace": {"ass_compound": [{"left": "na", "right": ["ri"]}'
+    ', {"left": "mg", "right": ["ri"]}, {"left": "al", "right": ["ri"]}]'
+    ', "ass_filtered": [{"factor": 1.000000, "left": "na", "right": ["ri"]}'
+    ', {"factor": 1.000000, "left": "mg", "right": ["ri"]}'
+    ', {"factor": 1.000000, "left": "al", "right": ["ri"]}]'
+    ', "ass_selected": [{"factor": 1.000000, "left": "na", "right": ["ri"]}'
+    ', {"factor": 1.000000, "left": "mg", "right": ["ri"]}'
+    ', {"factor": 1.000000, "left": "al", "right": ["ri"]}'
+    ', {"factor": 0.972222, "left": "na", "right": ["mg"]}'
+    ', {"factor": 0.919048, "left": "al", "right": ["na"]}'
+    ', {"factor": 0.976190, "left": "al", "right": ["mg"]}]'
+    ', "avg_factor": 0.977910, "delta": [{"factor": 0.916667, "source": "ri"'
+    ', "target": "na"}, {"factor": 0.972222, "source": "ri", "target": "mg"}'
+    ', {"factor": 0.611111, "source": "ri", "target": "al"}'
+    ', {"factor": 1.000000, "source": "na", "target": "ri"}'
+    ', {"factor": 0.972222, "source": "na", "target": "mg"}'
+    ', {"factor": 0.618056, "source": "na", "target": "al"}'
+    ', {"factor": 1.000000, "source": "mg", "target": "ri"}'
+    ', {"factor": 0.931818, "source": "mg", "target": "na"}'
+    ', {"factor": 0.698864, "source": "mg", "target": "al"}'
+    ', {"factor": 1.000000, "source": "al", "target": "ri"}'
+    ', {"factor": 0.919048, "source": "al", "target": "na"}'
+    ', {"factor": 0.976190, "source": "al", "target": "mg"}], "isolated": []'
+    ', "iterations": [{"deleted": [], "selected": "na"}, {"deleted": []'
+    ', "selected": "mg"}, {"deleted": [], "selected": "al"}]'
+    ', "partitions": {"decision": [["x1", "x3", "x8", "x10", "x11", "x12"'
+    ', "x14", "x17", "x21", "x28", "x35", "x36"], ["x2", "x4", "x6", "x9"'
+    ', "x13", "x15", "x18", "x20", "x24", "x25", "x30", "x33"], ["x5", "x7"'
+    ', "x16", "x19", "x22", "x23", "x26", "x27", "x29", "x31", "x32", "x34"]]'
+    ', "plain": {"al": [["x1", "x4", "x5", "x6", "x9", "x10", "x14", "x17"'
+    ', "x20", "x23", "x24", "x25", "x28", "x33", "x34", "x36"], ["x2", "x7"'
+    ', "x13", "x15", "x16", "x18", "x19", "x22", "x26", "x27", "x29", "x30"'
+    ', "x31", "x32"], ["x3", "x8", "x11", "x12", "x21", "x35"]], "mg": [["x1"'
+    ', "x3", "x4", "x8", "x10", "x11", "x12", "x14", "x17", "x21", "x28"'
+    ', "x35", "x36"], ["x2", "x6", "x9", "x13", "x15", "x18", "x20", "x24"'
+    ', "x25", "x30", "x33"], ["x5", "x7", "x16", "x19", "x22", "x23", "x26"'
+    ', "x27", "x29", "x31", "x32", "x34"]], "na": [["x1", "x2", "x3", "x6"'
+    ', "x8", "x10", "x11", "x12", "x14", "x17", "x21", "x28", "x33", "x35"'
+    ', "x36"], ["x4", "x9", "x13", "x15", "x18", "x20", "x24", "x25", "x30"]'
+    ', ["x5", "x7", "x16", "x19", "x22", "x23", "x26", "x27", "x29", "x31"'
+    ', "x32", "x34"]], "ri": [["x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8"'
+    ', "x9", "x10", "x11", "x12", "x13", "x14", "x15", "x16", "x17", "x18"'
+    ', "x19", "x20", "x21", "x22", "x23", "x24", "x25", "x26", "x27", "x28"'
+    ', "x29", "x30", "x31", "x32", "x33", "x34", "x35", "x36"]]}'
+    ', "relative": {"al": [["x1", "x10", "x14", "x17", "x28", "x36"], ["x2"'
+    ', "x13", "x15", "x18", "x30"], ["x3", "x8", "x11", "x12", "x21", "x35"]'
+    ', ["x4", "x6", "x9", "x20", "x24", "x25", "x33"], ["x5", "x23", "x34"]'
+    ', ["x7", "x16", "x19", "x22", "x26", "x27", "x29", "x31", "x32"]]'
+    ', "mg": [["x1", "x3", "x8", "x10", "x11", "x12", "x14", "x17", "x21"'
+    ', "x28", "x35", "x36"], ["x2", "x6", "x9", "x13", "x15", "x18", "x20"'
+    ', "x24", "x25", "x30", "x33"], ["x4"], ["x5", "x7", "x16", "x19", "x22"'
+    ', "x23", "x26", "x27", "x29", "x31", "x32", "x34"]], "na": [["x1", "x3"'
+    ', "x8", "x10", "x11", "x12", "x14", "x17", "x21", "x28", "x35", "x36"]'
+    ', ["x2", "x6", "x33"], ["x4", "x9", "x13", "x15", "x18", "x20", "x24"'
+    ', "x25", "x30"], ["x5", "x7", "x16", "x19", "x22", "x23", "x26", "x27"'
+    ', "x29", "x31", "x32", "x34"]], "ri": [["x1", "x3", "x8", "x10", "x11"'
+    ', "x12", "x14", "x17", "x21", "x28", "x35", "x36"], ["x2", "x4", "x6"'
+    ', "x9", "x13", "x15", "x18", "x20", "x24", "x25", "x30", "x33"], ["x5"'
+    ', "x7", "x16", "x19", "x22", "x23", "x26", "x27", "x29", "x31", "x32"'
+    ', "x34"]]}}, "reduct": ["na", "mg", "al"]}}\n'
+)
 
 
 def run_cli(*argv):
@@ -62,6 +155,12 @@ class TestReduct:
         ):
             assert needle in out, needle
 
+    def test_numeric_trace_json_golden(self):
+        code, out, err = run_cli("reduct", "--input", NUMERIC, "--trace", "--output", "json")
+        assert code == 0
+        assert err == ""
+        assert out == NUMERIC_TRACE_JSON
+
     def test_json_reruns_byte_identical(self):
         first = run_cli("reduct", "--input", ADMISSIONS, "--output", "json", "--trace")
         second = run_cli("reduct", "--input", ADMISSIONS, "--output", "json", "--trace")
@@ -99,6 +198,42 @@ class TestReduct:
         )
         assert code == 0
         assert json.loads(out)["reduct"] == ["a"]
+
+    def test_utf8_bom_stays_out_of_first_column_name(self, tmp_path):
+        src = tmp_path / "bom.csv"
+        src.write_bytes(b"\xef\xbb\xbfa,d\n1,yes\n2,no\n")
+        code, out, err = run_cli(
+            "reduct", "--input", str(src), "--numeric-cols", "a", "--output", "json"
+        )
+        assert code == 0, err
+        assert json.loads(out)["reduct"] == ["a"]
+
+    def test_non_utf8_input_exits_one(self, tmp_path):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(b"a,d\n\xff,yes\n2,no\n")
+        code, out, err = run_cli("reduct", "--input", str(src))
+        assert code == 1
+        assert out == ""
+        assert "UTF-8" in err
+
+    def test_oversized_field_exits_one_without_traceback(self, tmp_path):
+        src = tmp_path / "huge.csv"
+        src.write_text("a,d\n" + "x" * 140_000 + ",yes\nu,no\n")
+        code, out, err = run_cli("reduct", "--input", str(src))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: row 2:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_not_one_character_exits_two(self, delimiter):
+        code, out, err = run_cli(
+            "reduct", "--input", ADMISSIONS, f"--delimiter={delimiter}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: delimiter must be a single character")
+        assert "Traceback" not in err
 
 
 class TestDiscretize:
@@ -140,6 +275,19 @@ class TestDiscretize:
                 "labels": ["(-inf, 4.5)", "[4.5, inf)"],
             }
         }
+
+    def test_mixed_columns_golden_with_cuts(self, tmp_path):
+        src = tmp_path / "mixed.csv"
+        src.write_text(MIXED_CSV)
+        sidecar = tmp_path / "cuts.json"
+        code, out, err = run_cli(
+            "discretize", "--input", str(src), "--decision-col", "d",
+            "--emit-cuts", str(sidecar),
+        )
+        assert code == 0
+        assert err == ""
+        assert out == MIXED_DISCRETIZED
+        assert sidecar.read_text() == MIXED_CUTS
 
     def test_max_intervals_zero_exits_two(self):
         code, out, err = run_cli(
@@ -268,6 +416,19 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["reduct"] == ["r", "i", "e"]
+
+    def test_perfbench_tracer_rebinds_every_name(self):
+        """perfbench/tracer.py rebinds module attributes by name; a missing one
+        fails every traced benchmark op, so check it here, out of process."""
+        root = Path(__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, 'perfbench'); import tracer; "
+             "tracer.instrument(tracer.Tracer())"],
+            cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_console_script_declared(self):
         tomllib = pytest.importorskip("tomllib")

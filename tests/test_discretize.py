@@ -6,11 +6,11 @@ from rredux import (
     IntervalMap,
     RawColumn,
     ValidationError,
-    chi_square,
     chimerge,
     discretize_columns,
+    from_columns,
 )
-from rredux.discretize import default_threshold
+from rredux.discretize import chi_square, default_threshold
 
 
 class TestChiSquare:
@@ -165,7 +165,11 @@ class TestDiscretizeColumns:
             RawColumn("b", "categorical", ("p", "p", "q", "q")),
             RawColumn("d", "categorical", ("A", "A", "B", "B")),
         ]
-        table, maps = discretize_columns(cols, "d", threshold=0, max_intervals=2)
+        columns, maps = discretize_columns(cols, "d", threshold=0, max_intervals=2)
+        assert [(c.name, c.kind) for c in columns] == [
+            ("a", "categorical"), ("b", "categorical"), ("d", "categorical"),
+        ]
+        table = from_columns(columns, "d")
         assert set(maps) == {"a"}
         assert maps["a"].cut_points == (4.5,)
         assert table.domains["a"] == ("(-inf, 4.5)", "[4.5, inf)")
@@ -177,9 +181,10 @@ class TestDiscretizeColumns:
             RawColumn("a", "categorical", ("u", "v")),
             RawColumn("d", "categorical", ("y", "n")),
         ]
-        table, maps = discretize_columns(cols, "d")
+        columns, maps = discretize_columns(cols, "d")
         assert maps == {}
-        assert table.domains["a"] == ("u", "v")
+        assert columns == cols
+        assert from_columns(columns, "d").domains["a"] == ("u", "v")
 
     def test_decision_must_exist(self):
         with pytest.raises(ValueError):

@@ -5,18 +5,14 @@ import pytest
 
 from rredux import (
     EvalReport,
-    FoldPlan,
     RawColumn,
     compare,
     cross_validate,
     from_columns,
-    nb_predict,
-    nb_train,
-    onenn_predict,
-    project,
     stratified_folds,
-    subset,
 )
+from rredux.evaluate import FoldPlan, nb_predict, nb_train, onenn_predict
+from rredux.table import project, subset
 from rredux.jsonout import canonical
 from conftest import make_random_table
 

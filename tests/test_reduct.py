@@ -5,17 +5,15 @@ import pytest
 
 from rredux import (
     RawColumn,
-    SimilarityElement,
     SimilarityMatrix,
-    SimilaritySet,
     ass_gen,
     comp_sim,
     from_columns,
     matrix,
     run_pipeline,
-    select_pairs,
     sin_red_gen,
 )
+from rredux.reduct import SimilarityElement, SimilaritySet, select_pairs
 from rredux.jsonout import canonical
 from conftest import make_random_table
 

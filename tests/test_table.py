@@ -11,15 +11,17 @@ from rredux import (
     ValidationError,
     from_columns,
     parse_columns,
-    parse_csv,
-    project,
-    subset,
 )
+from rredux.table import project, subset
 from conftest import make_random_table
 
 
+def parse_columns_text(text: str, **kwargs):
+    return parse_columns(io.BytesIO(text.encode("utf-8")), **kwargs)
+
+
 def parse_text(text: str, **kwargs):
-    return parse_csv(io.BytesIO(text.encode("utf-8")), **kwargs)
+    return from_columns(*parse_columns_text(text, **kwargs))
 
 
 class TestParseCsv:
@@ -101,22 +103,21 @@ class TestParseCsv:
 
 class TestNumericDetection:
     def test_integer_only_column_stays_categorical(self):
-        table = parse_text("a,d\n1,yes\n2,no\n")
-        assert isinstance(table, DecisionTable)
-        assert table.domains["a"] == ("1", "2")
+        columns, _ = parse_columns_text("a,d\n1,yes\n2,no\n")
+        assert columns[0].kind == "categorical"
+        assert from_columns(columns, "d").domains["a"] == ("1", "2")
 
     def test_real_literal_makes_column_numeric(self):
-        columns = parse_text("a,d\n1.5,yes\n2,no\n")
-        assert isinstance(columns, list)
+        columns, _ = parse_columns_text("a,d\n1.5,yes\n2,no\n")
         assert columns[0].kind == "numeric"
         assert columns[0].cells == (1.5, 2.0)
 
     def test_exponent_literal_counts_as_real(self):
-        columns = parse_text("a,d\n1e2,yes\n2,no\n")
+        columns, _ = parse_columns_text("a,d\n1e2,yes\n2,no\n")
         assert columns[0].kind == "numeric"
 
     def test_flag_forces_integer_column_numeric(self):
-        columns = parse_text("a,d\n1,yes\n2,no\n", numeric_cols=["a"])
+        columns, _ = parse_columns_text("a,d\n1,yes\n2,no\n", numeric_cols=["a"])
         assert columns[0].kind == "numeric"
         assert columns[0].cells == (1.0, 2.0)
 
@@ -133,9 +134,9 @@ class TestNumericDetection:
             parse_text("a,d\n1,2\n", numeric_cols=["d"])
 
     def test_non_finite_literals_stay_categorical(self):
-        table = parse_text("a,d\ninf,yes\nnan,no\n")
-        assert isinstance(table, DecisionTable)
-        assert table.domains["a"] == ("inf", "nan")
+        columns, _ = parse_columns_text("a,d\ninf,yes\nnan,no\n")
+        assert columns[0].kind == "categorical"
+        assert from_columns(columns, "d").domains["a"] == ("inf", "nan")
 
     def test_non_finite_flagged_numeric_rejected(self):
         with pytest.raises(ValidationError):
