@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
+from operator import ne
 from typing import Callable, Sequence
 
 from .table import DecisionTable, project, subset
@@ -74,10 +76,9 @@ def stratified_folds(table: DecisionTable, k: int, seed: int) -> FoldPlan:
         raise ValueError("folds must be >= 2")
     if k > table.m:
         raise ValueError(f"folds must be <= object count ({table.m})")
-    dec = len(table.condition_attrs)
     by_class: dict[int, list[int]] = {}
-    for i, row in enumerate(table.values):
-        by_class.setdefault(row[dec], []).append(i)
+    for i, cls in enumerate(table.column(table.decision_attr)):
+        by_class.setdefault(cls, []).append(i)
     rng = random.Random(seed)
     assignments = [0] * table.m
     next_fold = 0
@@ -103,22 +104,14 @@ class NBModel:
 
 def nb_train(train: DecisionTable) -> NBModel:
     """Count class and per-attribute value frequencies on the training rows."""
-    dec = len(train.condition_attrs)
-    class_counts: dict[int, int] = {}
-    value_counts: list[dict[tuple[int, int], int]] = [{} for _ in train.condition_attrs]
-    for row in train.values:
-        cls = row[dec]
-        class_counts[cls] = class_counts.get(cls, 0) + 1
-        for a, value in enumerate(row[:dec]):
-            key = (value, cls)
-            value_counts[a][key] = value_counts[a].get(key, 0) + 1
+    decisions = train.column(train.decision_attr)
+    class_counts = Counter(decisions)
     classes = tuple(sorted(class_counts))
-    domain_sizes = tuple(len(train.domains[a]) for a in train.condition_attrs)
     return NBModel(
         classes,
         tuple(class_counts[c] for c in classes),
-        tuple(value_counts),
-        domain_sizes,
+        tuple(Counter(zip(train.column(a), decisions)) for a in train.condition_attrs),
+        tuple(len(train.domains[a]) for a in train.condition_attrs),
         train.m,
     )
 
@@ -149,16 +142,16 @@ def onenn_predict(train: DecisionTable, values: Sequence[int]) -> int:
 
     Distance ties go to the earliest training row.
     """
-    dec = len(train.condition_attrs)
-    if len(values) != dec:
+    if len(values) != len(train.condition_attrs):
         raise ValueError("value count does not match training attributes")
-    best_row = None
-    best_dist = dec + 1
-    for row in train.values:
-        dist = sum(a != b for a, b in zip(row[:dec], values))
+    rows = zip(*(train.column(a) for a in train.condition_attrs))
+    best_cls = None
+    best_dist = len(values) + 1
+    for cls, row in zip(train.column(train.decision_attr), rows):
+        dist = sum(map(ne, row, values))
         if dist < best_dist:
-            best_row, best_dist = row, dist
-    return best_row[dec]
+            best_cls, best_dist = cls, dist
+    return best_cls
 
 
 def _fit_nb(train: DecisionTable) -> Callable[[Sequence[int]], int]:
@@ -182,14 +175,13 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
         fit = CLASSIFIERS[classifier]
     except KeyError:
         raise ValueError(f"unknown classifier {classifier!r}") from None
-    dec = len(table.condition_attrs)
+    rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
+    decisions = table.column(table.decision_attr)
     accuracies = []
     for fold in range(plan.k):
         train_rows, test_rows = plan.fold_rows(fold)
         predict = fit(subset(table, train_rows))
-        correct = sum(
-            predict(table.values[i][:dec]) == table.values[i][dec] for i in test_rows
-        )
+        correct = sum(predict(rows[i]) == decisions[i] for i in test_rows)
         accuracies.append(correct / len(test_rows))
     mean = sum(accuracies) / len(accuracies)
     return EvalReport(classifier, table.condition_attrs, tuple(accuracies), mean)

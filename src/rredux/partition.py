@@ -22,10 +22,9 @@ def blocks(table: DecisionTable, attrs: Iterable[str]) -> tuple[tuple[int, ...],
     names = list(attrs)
     if not names:
         raise ValueError("partition needs at least one attribute")
-    positions = [table.attr_position(a) for a in names]
+    columns = [table.column(a) for a in names]
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(table.values):
-        key = tuple(row[p] for p in positions)
+    for i, key in enumerate(zip(*columns)):
         groups.setdefault(key, []).append(i)
     return tuple(tuple(g) for g in groups.values())
 
@@ -56,10 +55,9 @@ def consistency(table: DecisionTable, attrs: Iterable[str] | None = None) -> flo
     measure how much decision information the attribute set loses.
     """
     names: Sequence[str] = tuple(attrs) if attrs is not None else table.condition_attrs
-    dec = len(table.condition_attrs)
+    decision = table.column(table.decision_attr)
     positive = 0
     for block in blocks(table, names):
-        decisions = {table.values[i][dec] for i in block}
-        if len(decisions) == 1:
+        if len({decision[i] for i in block}) == 1:
             positive += len(block)
     return positive / table.m

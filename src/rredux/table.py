@@ -8,10 +8,11 @@ downstream partitioning and traces are deterministic for a given input.
 Ingestion is ``parse_columns`` (typed :class:`RawColumn` staging data),
 then ``discretize.discretize_columns`` (numeric columns to ChiMerge
 labels), then ``from_columns`` (the encoded table).  A column counts
-as numeric only when explicitly flagged, or when every cell parses as a
-finite number and at least one cell is written in real form (contains a
-decimal point or exponent).  Integer-only columns are ambiguous -- they
-are just as often category codes -- and default to categorical.
+as numeric only when explicitly flagged, or when every cell is a plain
+finite number literal (``_NUMBER``) and at least one cell is written in
+real form (contains a decimal point or exponent).  Integer-only columns
+are ambiguous -- they are just as often category codes -- and default to
+categorical.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence
 
@@ -55,64 +57,53 @@ class RawColumn:
 
 @dataclass(frozen=True)
 class DecisionTable:
-    """Immutable categorical decision table.
+    """Immutable categorical decision table, stored by column.
 
-    Each row of ``values`` holds the condition-attribute codes in
-    ``condition_attrs`` order followed by the decision code.  Codes index
-    into ``domains[attr]``, the per-attribute label list in
-    first-appearance order.
+    ``codes[attr]`` holds one integer code per object, in object order,
+    for every condition attribute and for the decision.  Codes index into
+    ``domains[attr]``, the per-attribute label list in first-appearance
+    order.
     """
 
     object_ids: tuple[str, ...]
     condition_attrs: tuple[str, ...]
     decision_attr: str
-    values: tuple[tuple[int, ...], ...]
+    codes: dict[str, tuple[int, ...]]
     domains: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
-        if len(self.values) < 1:
+        m = len(self.object_ids)
+        if m < 1:
             raise ValueError("a decision table needs at least one object")
         if len(self.condition_attrs) < 1:
             raise ValueError("a decision table needs at least one condition attribute")
-        if len(self.object_ids) != len(self.values):
-            raise ValueError("object_ids and values disagree on object count")
-        if len(set(self.object_ids)) != len(self.object_ids):
+        if len(set(self.object_ids)) != m:
             raise ValueError("object ids must be unique")
         names = self.condition_attrs + (self.decision_attr,)
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
-        width = len(self.condition_attrs) + 1
-        for oid, row in zip(self.object_ids, self.values):
-            if len(row) != width:
-                raise ValueError(f"object {oid!r}: expected {width} values, got {len(row)}")
-            for attr, code in zip(names, row):
-                if not 0 <= code < len(self.domains[attr]):
-                    raise ValueError(f"object {oid!r}: code {code} outside domain of {attr!r}")
+        if set(self.codes) != set(names):
+            raise ValueError("codes must hold one column per attribute")
+        for attr in names:
+            column, size = self.codes[attr], len(self.domains[attr])
+            if len(column) != m:
+                raise ValueError(f"column {attr!r}: expected {m} codes, got {len(column)}")
+            if min(column) < 0 or max(column) >= size:
+                i = next(i for i, code in enumerate(column) if not 0 <= code < size)
+                raise ValueError(
+                    f"object {self.object_ids[i]!r}: code {column[i]} outside domain of {attr!r}"
+                )
 
     @property
     def m(self) -> int:
-        return len(self.values)
-
-    def attr_position(self, attr: str) -> int:
-        """Column position of ``attr`` in each values row."""
-        if attr == self.decision_attr:
-            return len(self.condition_attrs)
-        try:
-            return self.condition_attrs.index(attr)
-        except ValueError:
-            raise ValueError(f"unknown attribute {attr!r}") from None
+        return len(self.object_ids)
 
     def column(self, attr: str) -> tuple[int, ...]:
-        pos = self.attr_position(attr)
-        return tuple(row[pos] for row in self.values)
-
-    def decode(self, attr: str, code: int) -> str:
-        return self.domains[attr][code]
-
-    def decoded_row(self, index: int) -> tuple[str, ...]:
-        """The object's cell labels (conditions then decision)."""
-        names = self.condition_attrs + (self.decision_attr,)
-        return tuple(self.domains[a][c] for a, c in zip(names, self.values[index]))
+        """The codes of ``attr`` (a condition attribute or the decision)."""
+        try:
+            return self.codes[attr]
+        except KeyError:
+            raise ValueError(f"unknown attribute {attr!r}") from None
 
 
 def _records(reader):
@@ -165,11 +156,15 @@ def _apply_missing_policy(header, rows, drop_missing: bool):
     return kept
 
 
+# A plain decimal or exponent literal in ASCII digits.  float() accepts more
+# (surrounding spaces, underscores, non-ASCII digits, "inf", "nan").
+_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+
+
 def _parse_finite(cell: str) -> float | None:
-    try:
-        value = float(cell)
-    except ValueError:
+    if not _NUMBER.fullmatch(cell):
         return None
+    value = float(cell)
     return value if math.isfinite(value) else None
 
 
@@ -214,11 +209,16 @@ def parse_columns(
         if name == decision:
             columns.append(RawColumn(name, CATEGORICAL, tuple(cells)))
             continue
-        parsed = [_parse_finite(c) for c in cells]
-        all_number = all(v is not None for v in parsed)
+        parsed = []
+        for cell in cells:
+            value = _parse_finite(cell)
+            if value is None:
+                break
+            parsed.append(value)
+        all_number = len(parsed) == len(cells)
         if name in flagged:
             if not all_number:
-                bad = cells[parsed.index(None)]
+                bad = cells[len(parsed)]
                 raise ValidationError(
                     f"column {name!r} flagged numeric but cell {bad!r} is not a finite number"
                 )
@@ -250,20 +250,13 @@ def from_columns(columns: Sequence[RawColumn], decision_attr: str) -> DecisionTa
     ordered = [by_name[a] for a in condition] + [by_name[decision_attr]]
 
     domains: dict[str, tuple[str, ...]] = {}
-    encoded: list[tuple[int, ...]] = []
-    code_maps = []
+    codes: dict[str, tuple[int, ...]] = {}
     for col in ordered:
-        codes: dict[str, int] = {}
-        for cell in col.cells:
-            if cell not in codes:
-                codes[cell] = len(codes)
-        code_maps.append(codes)
-        domains[col.name] = tuple(codes)
-    m = len(ordered[0].cells)
-    for i in range(m):
-        encoded.append(tuple(code_maps[j][ordered[j].cells[i]] for j in range(len(ordered))))
-    object_ids = tuple(f"x{i + 1}" for i in range(m))
-    return DecisionTable(object_ids, condition, decision_attr, tuple(encoded), domains)
+        index: dict[str, int] = {}
+        codes[col.name] = tuple(index.setdefault(cell, len(index)) for cell in col.cells)
+        domains[col.name] = tuple(index)
+    object_ids = tuple(f"x{i + 1}" for i in range(len(ordered[0].cells)))
+    return DecisionTable(object_ids, condition, decision_attr, codes, domains)
 
 
 def project(table: DecisionTable, attrs: Iterable[str]) -> DecisionTable:
@@ -279,13 +272,10 @@ def project(table: DecisionTable, attrs: Iterable[str]) -> DecisionTable:
     if unknown:
         raise ValueError(f"unknown attribute {sorted(unknown)[0]!r}")
     kept = tuple(a for a in table.condition_attrs if a in wanted)
-    positions = [table.attr_position(a) for a in kept]
-    values = tuple(
-        tuple(row[p] for p in positions) + (row[-1],) for row in table.values
-    )
-    domains = {a: table.domains[a] for a in kept}
-    domains[table.decision_attr] = table.domains[table.decision_attr]
-    return DecisionTable(table.object_ids, kept, table.decision_attr, values, domains)
+    names = kept + (table.decision_attr,)
+    codes = {a: table.codes[a] for a in names}
+    domains = {a: table.domains[a] for a in names}
+    return DecisionTable(table.object_ids, kept, table.decision_attr, codes, domains)
 
 
 def subset(table: DecisionTable, rows: Sequence[int]) -> DecisionTable:
@@ -293,7 +283,7 @@ def subset(table: DecisionTable, rows: Sequence[int]) -> DecisionTable:
     if not rows:
         raise ValueError("subset needs at least one row")
     object_ids = tuple(table.object_ids[i] for i in rows)
-    values = tuple(table.values[i] for i in rows)
+    codes = {a: tuple(column[i] for i in rows) for a, column in table.codes.items()}
     return DecisionTable(
-        object_ids, table.condition_attrs, table.decision_attr, values, dict(table.domains)
+        object_ids, table.condition_attrs, table.decision_attr, codes, dict(table.domains)
     )

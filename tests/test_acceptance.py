@@ -205,12 +205,11 @@ def test_end_to_end_reference_figures(admissions):
 
 def test_oracle_equivalence_on_random_tables(random_tables):
     def pairwise_relative(table, attr):
-        pos_a = table.attr_position(attr)
-        pos_d = table.attr_position(table.decision_attr)
+        col_a = table.column(attr)
+        col_d = table.column(table.decision_attr)
 
         def related(i, j):
-            return (table.values[i][pos_a] == table.values[j][pos_a]
-                    and table.values[i][pos_d] == table.values[j][pos_d])
+            return col_a[i] == col_a[j] and col_d[i] == col_d[j]
 
         found = []
         for i in range(table.m):
@@ -385,7 +384,8 @@ def test_evaluation_harness(admissions, random_tables):
 
     def posterior(cls, query):
         decision = tiny.column("d")
-        rows = [r for r in tiny.values if r[-1] == cls]
+        conditions = zip(*(tiny.column(a) for a in tiny.condition_attrs))
+        rows = [r for r, d in zip(conditions, decision) if d == cls]
         score = Fraction(len(rows), tiny.m)
         for pos, attr in enumerate(tiny.condition_attrs):
             hits = sum(1 for r in rows if r[pos] == query[pos])

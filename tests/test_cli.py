@@ -109,6 +109,29 @@ NUMERIC_TRACE_JSON = (
     ', "x34"]]}}, "reduct": ["na", "mg", "al"]}}\n'
 )
 
+# ``evaluate --input numeric_sample.csv --folds 3 --seed 5 --output json``
+# with each classifier, byte for byte
+NUMERIC_EVAL_NB_JSON = (
+    '{"classifier": "nb", "delta": 0.000000, "folds": 3, '
+    '"full": {"attrs": ["ri", "na", "mg", "al"], '
+    '"consistency": 1.000000, "fold_accuracies": [1.000000, 0.916667, '
+    '1.000000], "mean_accuracy": 0.972222}, "isolated": [], '
+    '"reduced": {"attrs": ["na", "mg", "al"], "consistency": 1.000000, '
+    '"fold_accuracies": [1.000000, 0.916667, 1.000000], '
+    '"mean_accuracy": 0.972222}, "reduct": ["na", "mg", "al"], '
+    '"seed": 5}\n'
+)
+NUMERIC_EVAL_1NN_JSON = (
+    '{"classifier": "1nn", "delta": 0.000000, "folds": 3, '
+    '"full": {"attrs": ["ri", "na", "mg", "al"], '
+    '"consistency": 1.000000, "fold_accuracies": [1.000000, 1.000000, '
+    '1.000000], "mean_accuracy": 1.000000}, "isolated": [], '
+    '"reduced": {"attrs": ["na", "mg", "al"], "consistency": 1.000000, '
+    '"fold_accuracies": [1.000000, 1.000000, 1.000000], '
+    '"mean_accuracy": 1.000000}, "reduct": ["na", "mg", "al"], '
+    '"seed": 5}\n'
+)
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -289,6 +312,17 @@ class TestDiscretize:
         assert out == MIXED_DISCRETIZED
         assert sidecar.read_text() == MIXED_CUTS
 
+    @pytest.mark.parametrize("literal", ["1_000.5", " 3.5 ", "\u0661.\u0665"],
+                             ids=["underscore", "spaces", "arabic-indic-digits"])
+    def test_number_literal_beyond_plain_form_is_not_numeric(self, tmp_path, literal):
+        src = tmp_path / "literal.csv"
+        text = f"a,d\n{literal},A\n2.5,B\n4.0,A\n"
+        src.write_text(text, encoding="utf-8")
+        assert run_cli("discretize", "--input", str(src)) == (0, text, "")
+        code, out, err = run_cli("discretize", "--input", str(src), "--numeric-cols", "a")
+        assert (code, out) == (1, "")
+        assert f"cell {literal!r} is not a finite number" in err
+
     def test_max_intervals_zero_exits_two(self):
         code, out, err = run_cli(
             "discretize", "--input", NUMERIC, "--max-intervals", "0"
@@ -341,6 +375,17 @@ class TestEvaluate:
         args = ("evaluate", "--input", NUMERIC, "--folds", "3", "--seed", "5",
                 "--output", "json")
         assert run_cli(*args) == run_cli(*args)
+
+    @pytest.mark.parametrize("classifier, golden", [
+        ("nb", NUMERIC_EVAL_NB_JSON), ("1nn", NUMERIC_EVAL_1NN_JSON),
+    ])
+    def test_numeric_json_golden(self, classifier, golden):
+        code, out, err = run_cli(
+            "evaluate", "--input", NUMERIC, "--folds", "3", "--seed", "5",
+            "--output", "json", "--classifier", classifier,
+        )
+        assert (code, err) == (0, "")
+        assert out == golden
 
     def test_numeric_input_discretized_internally(self):
         code, out, _ = run_cli(
@@ -429,6 +474,26 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("argv, spans", [
+        (("reduct", "--input", ADMISSIONS, "--output", "json"),
+         {"table.from_columns", "reduct.run_pipeline"}),
+        (("evaluate", "--input", NUMERIC, "--classifier", "1nn", "--folds", "3",
+          "--seed", "5", "--output", "json"),
+         {"table.from_columns", "reduct.run_pipeline", "evaluate.cv_1nn"}),
+    ], ids=["reduct", "evaluate-1nn"])
+    def test_perfbench_traced_command(self, tmp_path, argv, spans):
+        """A traced benchmark op runs the command with every observer installed
+        (they read table, fold-plan and matrix attributes) and records its spans."""
+        root = Path(__file__).parents[1]
+        out = tmp_path / "spans.json"
+        result = subprocess.run(
+            [sys.executable, "perfbench/tracer.py", str(out), "0", "--", *argv],
+            cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert spans <= {span[0] for span in json.loads(out.read_text())}
 
     def test_console_script_declared(self):
         tomllib = pytest.importorskip("tomllib")

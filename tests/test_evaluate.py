@@ -84,6 +84,11 @@ class TestStratifiedFolds:
         assert sorted(seen) == list(range(admissions.m))
 
 
+def condition_rows(table):
+    """Per object, the condition-attribute codes in table order."""
+    return list(zip(*(table.column(a) for a in table.condition_attrs)))
+
+
 def tiny_table(a_cells, d_cells):
     return from_columns(
         [RawColumn("a", "categorical", tuple(a_cells)),
@@ -129,19 +134,18 @@ class TestNaiveBayes:
 
 class TestOneNearestNeighbour:
     def test_exact_match_wins(self, admissions):
-        dec = len(admissions.condition_attrs)
+        rows = condition_rows(admissions)
+        decision = admissions.column("Decision")
         for i in range(admissions.m):
-            row = admissions.values[i]
             train = subset(admissions, [i])
-            assert onenn_predict(train, row[:dec]) == row[dec]
+            assert onenn_predict(train, rows[i]) == decision[i]
 
     def test_sample_query(self, admissions):
         # x5 = (MSc, Medium, Yes, Neutral); nearest of the rest is x4 at
         # distance 1, decision Accept
-        dec = len(admissions.condition_attrs)
         train = subset(admissions, [0, 1, 2, 3, 5, 6, 7])
-        predicted = onenn_predict(train, admissions.values[4][:dec])
-        assert admissions.decode("Decision", predicted) == "Accept"
+        predicted = onenn_predict(train, condition_rows(admissions)[4])
+        assert admissions.domains["Decision"][predicted] == "Accept"
 
     def test_identical_training_rows(self):
         train = tiny_table(("0", "0", "0"), ("y", "y", "y"))
@@ -151,7 +155,7 @@ class TestOneNearestNeighbour:
         # query "2" is at distance 1 from both training rows
         table = tiny_table(("0", "1", "2"), ("first", "second", "first"))
         train = subset(table, [0, 1])
-        assert train.decode("d", onenn_predict(train, (2,))) == "first"
+        assert train.domains["d"][onenn_predict(train, (2,))] == "first"
 
     def test_wrong_arity(self, admissions):
         with pytest.raises(ValueError):

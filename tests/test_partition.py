@@ -16,8 +16,8 @@ from conftest import block_sets, make_random_table
 def naive_relative_partition(table, attr):
     """Independent oracle: group by the pairwise relation
     "related iff same attribute value and same decision value"."""
-    pos = table.attr_position(attr)
-    dec = len(table.condition_attrs)
+    col = table.column(attr)
+    dec = table.column(table.decision_attr)
     assigned = [None] * table.m
     result = []
     for i in range(table.m):
@@ -26,8 +26,7 @@ def naive_relative_partition(table, attr):
         block = [
             j
             for j in range(table.m)
-            if table.values[j][pos] == table.values[i][pos]
-            and table.values[j][dec] == table.values[i][dec]
+            if col[j] == col[i] and dec[j] == dec[i]
         ]
         for j in block:
             assigned[j] = True
@@ -173,16 +172,16 @@ class TestConsistency:
             attrs = [
                 a for a in table.condition_attrs if rng.random() < 0.6
             ] or [table.condition_attrs[0]]
-            positions = [table.attr_position(a) for a in attrs]
-            dec = len(table.condition_attrs)
+            columns = [table.column(a) for a in attrs]
+            dec = table.column(table.decision_attr)
             pure = 0
             for i in range(table.m):
-                key = tuple(table.values[i][p] for p in positions)
+                key = tuple(c[i] for c in columns)
                 twins = [
                     j
                     for j in range(table.m)
-                    if tuple(table.values[j][p] for p in positions) == key
+                    if tuple(c[j] for c in columns) == key
                 ]
-                if len({table.values[j][dec] for j in twins}) == 1:
+                if len({dec[j] for j in twins}) == 1:
                     pure += 1
             assert consistency(table, attrs) == pure / table.m

@@ -24,6 +24,12 @@ def parse_text(text: str, **kwargs):
     return from_columns(*parse_columns_text(text, **kwargs))
 
 
+def decoded_row(table, index):
+    """The object's cell labels (conditions then decision)."""
+    names = table.condition_attrs + (table.decision_attr,)
+    return tuple(table.domains[a][table.column(a)[index]] for a in names)
+
+
 class TestParseCsv:
     def test_sample_table_shape(self, admissions):
         assert admissions.m == 8
@@ -34,8 +40,8 @@ class TestParseCsv:
         assert admissions.domains["Decision"] == ("Accept", "Reject")
 
     def test_cell_round_trip(self, admissions):
-        assert admissions.decoded_row(0) == ("MBA", "Medium", "Yes", "Excellent", "Accept")
-        assert admissions.decoded_row(7) == ("MCE", "Low", "No", "Excellent", "Reject")
+        assert decoded_row(admissions, 0) == ("MBA", "Medium", "Yes", "Excellent", "Accept")
+        assert decoded_row(admissions, 7) == ("MCE", "Low", "No", "Excellent", "Reject")
 
     def test_minimal_single_row(self):
         table = parse_text("a,d\n1,yes\n")
@@ -66,7 +72,7 @@ class TestParseCsv:
     def test_drop_missing_drops_rows(self):
         table = parse_text("a,d\nu,yes\n?,no\nv,no\n", drop_missing=True)
         assert table.m == 2
-        assert table.decoded_row(1) == ("v", "no")
+        assert decoded_row(table, 1) == ("v", "no")
 
     def test_drop_missing_empty_result(self):
         with pytest.raises(SchemaError, match="after dropping"):
@@ -95,8 +101,8 @@ class TestParseCsv:
         reordered = "\n".join([lines[0], lines[3], lines[1], lines[2]]) + "\n"
         t1 = parse_text(base)
         t2 = parse_text(reordered)
-        rows1 = [t1.decoded_row(i) for i in range(t1.m)]
-        rows2 = [t2.decoded_row(i) for i in range(t2.m)]
+        rows1 = [decoded_row(t1, i) for i in range(t1.m)]
+        rows2 = [decoded_row(t2, i) for i in range(t2.m)]
         assert rows2 == [rows1[2], rows1[0], rows1[1]]
         assert t2.object_ids == ("x1", "x2", "x3")
 
@@ -175,7 +181,9 @@ class TestProjectAndSubset:
         sub = subset(admissions, [1, 4, 6])
         assert sub.object_ids == ("x2", "x5", "x7")
         assert sub.domains == admissions.domains
-        assert sub.values == (admissions.values[1], admissions.values[4], admissions.values[6])
+        assert sub.codes == {
+            a: tuple(column[i] for i in (1, 4, 6)) for a, column in admissions.codes.items()
+        }
 
     def test_subset_empty(self, admissions):
         with pytest.raises(ValueError):
@@ -212,13 +220,13 @@ class TestDecisionTableInvariants:
                 ("x1",) * 8,
                 admissions.condition_attrs,
                 admissions.decision_attr,
-                admissions.values,
+                admissions.codes,
                 admissions.domains,
             )
 
-    def test_row_width_checked(self, admissions):
-        bad = admissions.values[:-1] + ((0, 0),)
-        with pytest.raises(ValueError, match="expected 5 values"):
+    def test_column_length_checked(self, admissions):
+        bad = {**admissions.codes, "f": admissions.codes["f"][:-1]}
+        with pytest.raises(ValueError, match="'f': expected 8 codes, got 7"):
             DecisionTable(
                 admissions.object_ids,
                 admissions.condition_attrs,
@@ -226,10 +234,24 @@ class TestDecisionTableInvariants:
                 bad,
                 admissions.domains,
             )
+
+    def test_codes_keyed_by_attribute(self, admissions):
+        for bad in (
+            {a: c for a, c in admissions.codes.items() if a != "r"},
+            {**admissions.codes, "z": admissions.codes["r"]},
+        ):
+            with pytest.raises(ValueError, match="one column per attribute"):
+                DecisionTable(
+                    admissions.object_ids,
+                    admissions.condition_attrs,
+                    admissions.decision_attr,
+                    bad,
+                    admissions.domains,
+                )
 
     def test_code_outside_domain(self, admissions):
-        bad = admissions.values[:-1] + ((9, 0, 0, 0, 0),)
-        with pytest.raises(ValueError, match="outside domain"):
+        bad = {**admissions.codes, "i": admissions.codes["i"][:-1] + (9,)}
+        with pytest.raises(ValueError, match="object 'x8': code 9 outside domain of 'i'"):
             DecisionTable(
                 admissions.object_ids,
                 admissions.condition_attrs,
@@ -238,11 +260,23 @@ class TestDecisionTableInvariants:
                 admissions.domains,
             )
 
-    def test_attr_position_and_column(self, admissions):
-        assert admissions.attr_position("i") == 0
-        assert admissions.attr_position("Decision") == 4
-        with pytest.raises(ValueError):
-            admissions.attr_position("z")
+    def test_negative_code_outside_domain(self, admissions):
+        column = admissions.codes["Decision"]
+        bad = {**admissions.codes, "Decision": column[:2] + (-1,) + column[3:]}
+        with pytest.raises(ValueError, match="object 'x3': code -1 outside domain"):
+            DecisionTable(
+                admissions.object_ids,
+                admissions.condition_attrs,
+                admissions.decision_attr,
+                bad,
+                admissions.domains,
+            )
+
+    def test_column_accessor(self, admissions):
+        assert admissions.column("i") is admissions.codes["i"]
+        assert admissions.column("Decision") == (0, 1, 1, 0, 1, 1, 0, 1)
+        with pytest.raises(ValueError, match="unknown attribute 'z'"):
+            admissions.column("z")
         assert admissions.column("f") == (0, 0, 0, 0, 0, 0, 1, 1)
 
     def test_random_tables_well_formed(self):
@@ -250,5 +284,6 @@ class TestDecisionTableInvariants:
         for _ in range(50):
             table = make_random_table(rng)
             assert table.m >= 1
-            width = len(table.condition_attrs) + 1
-            assert all(len(row) == width for row in table.values)
+            names = table.condition_attrs + (table.decision_attr,)
+            assert set(table.codes) == set(names)
+            assert all(len(column) == table.m for column in table.codes.values())
