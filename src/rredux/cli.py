@@ -89,9 +89,12 @@ def _read_columns(args) -> tuple[list[RawColumn], str, dict[str, IntervalMap]]:
             delimiter=args.delimiter,
             drop_missing=args.drop_missing,
         )
-    columns, maps = discretize_columns(
-        columns, decision, args.chi_threshold, args.max_intervals
-    )
+    try:
+        columns, maps = discretize_columns(
+            columns, decision, args.chi_threshold, args.max_intervals
+        )
+    except ImportError as exc:  # the default threshold needs scipy here
+        raise ValueError(f"{exc}; give --chi-threshold instead") from None
     return columns, decision, maps
 
 

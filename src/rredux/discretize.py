@@ -3,19 +3,18 @@
 Each numeric column starts as one interval per distinct value.  Adjacent
 intervals whose class distributions look alike (low chi-square) are
 merged bottom-up until every remaining adjacent pair differs
-significantly and the interval count fits under the cap.  Cut points land
-midway between neighbouring observed values, and intervals are half-open,
-lower-inclusive.
+significantly and the interval count fits under the cap (Kerber 1992,
+*ChiMerge*).  Cut points land midway between neighbouring observed
+values, and intervals are half-open, lower-inclusive.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Hashable, Sequence
-
-from scipy.stats import chi2
 
 from .errors import ValidationError
 from .table import CATEGORICAL, NUMERIC, RawColumn
@@ -23,6 +22,40 @@ from .table import from_columns  # not called here; perfbench/tracer.py rebinds 
 
 DEFAULT_MAX_INTERVALS = 6
 DEFAULT_SIGNIFICANCE = 0.95
+# chi2.ppf(0.95, df) for df 1..30, the repr of scipy.stats' own floats, so
+# the default threshold needs scipy only beyond this table
+CRITICAL_95 = {
+    1: 3.841458820694124,
+    2: 5.991464547107979,
+    3: 7.814727903251179,
+    4: 9.487729036781154,
+    5: 11.070497693516351,
+    6: 12.591587243743977,
+    7: 14.067140449340169,
+    8: 15.50731305586545,
+    9: 16.918977604620448,
+    10: 18.307038053275146,
+    11: 19.67513757268249,
+    12: 21.02606981748307,
+    13: 22.362032494826934,
+    14: 23.684791304840576,
+    15: 24.995790139728616,
+    16: 26.29622760486423,
+    17: 27.58711163827534,
+    18: 28.869299430392623,
+    19: 30.14352720564616,
+    20: 31.410432844230918,
+    21: 32.670573340917315,
+    22: 33.92443847144381,
+    23: 35.17246162690806,
+    24: 36.41502850180731,
+    25: 37.65248413348277,
+    26: 38.885138659830055,
+    27: 40.113272069413625,
+    28: 41.33713815142739,
+    29: 42.55696780429269,
+    30: 43.77297182574219,
+}
 
 
 @dataclass(frozen=True)
@@ -81,8 +114,20 @@ def default_threshold(n_classes: int, significance: float = DEFAULT_SIGNIFICANCE
 
     Degrees of freedom are clamped to 1 so a single-class column still
     gets a usable threshold (its pair statistics are all zero anyway).
+    Values outside ``CRITICAL_95`` come from ``scipy.stats``, imported
+    here; without scipy they raise ``ImportError``.
     """
-    return float(chi2.ppf(significance, max(n_classes - 1, 1)))
+    df = max(n_classes - 1, 1)
+    if significance == DEFAULT_SIGNIFICANCE and df in CRITICAL_95:
+        return CRITICAL_95[df]
+    try:
+        from scipy.stats import chi2
+    except ImportError:
+        raise ImportError(
+            f"the chi-square critical value for {df} degrees of freedom at "
+            f"significance {significance} needs scipy"
+        ) from None
+    return float(chi2.ppf(significance, df))
 
 
 def _format_bound(value: float) -> str:
@@ -110,8 +155,10 @@ def chimerge(
 
     Merging continues while the smallest adjacent statistic is below
     ``threshold`` or the interval count still exceeds ``max_intervals``;
-    ties merge the leftmost pair.  ``threshold`` defaults to the
-    critical value for the label arity at 0.95 significance.
+    ties merge the leftmost pair.  ``threshold`` defaults to the critical
+    value for the label arity at 0.95 significance.  A heap of (statistic,
+    interval) with lazy invalidation finds that pair, and a merge
+    recomputes only the two statistics beside it.
     """
     if len(values) != len(labels):
         raise ValueError("values and labels must have the same length")
@@ -129,33 +176,56 @@ def chimerge(
             classes[lab] = len(classes)
     if threshold is None:
         threshold = default_threshold(len(classes))
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too: no statistic is below it
         raise ValueError("threshold must be non-negative")
 
-    # one (value, per-class counts) interval per distinct value, ascending
+    # one interval per distinct value, ascending, named by the index of its
+    # lowest value; merging keeps the left name, so names order intervals
     grouped: dict[float, list[int]] = {}
     for v, lab in zip(values, labels):
         grouped.setdefault(v, [0] * len(classes))[classes[lab]] += 1
-    points = sorted(grouped)
-    intervals = [(v, v, grouped[v]) for v in points]  # (low, high, counts)
-
-    while len(intervals) > 1:
-        stats = [
-            chi_square(intervals[i][2], intervals[i + 1][2])
-            for i in range(len(intervals) - 1)
-        ]
-        best = min(range(len(stats)), key=lambda i: (stats[i], i))
-        if not (stats[best] < threshold or len(intervals) > max_intervals):
+    low = sorted(grouped)
+    high = low[:]
+    counts = [grouped[v] for v in low]
+    after: list[int | None] = [*range(1, len(low)), None]
+    before: list[int | None] = [None, *range(len(low) - 1)]
+    # stat[i]: statistic of interval i and the next one, None if either is gone
+    stat: list[float | None] = [
+        chi_square(counts[i], counts[i + 1]) for i in range(len(low) - 1)
+    ] + [None]
+    heap = [(s, i) for i, s in enumerate(stat[:-1])]
+    heapq.heapify(heap)
+    remaining = len(low)
+    while heap:
+        s, i = heap[0]
+        if stat[i] != s:  # stale: pair i merged or its statistic recomputed
+            heapq.heappop(heap)
+            continue
+        # min (statistic, leftmost) pair, the rule of a full rescan
+        if not (s < threshold or remaining > max_intervals):
             break
-        lo, _, left = intervals[best]
-        _, hi, right = intervals[best + 1]
-        merged = (lo, hi, [a + b for a, b in zip(left, right)])
-        intervals[best : best + 2] = [merged]
+        heapq.heappop(heap)
+        j = after[i]
+        counts[i] = [a + b for a, b in zip(counts[i], counts[j])]
+        high[i] = high[j]
+        after[i] = k = after[j]
+        stat[i] = stat[j] = None
+        remaining -= 1
+        if k is not None:
+            before[k] = i
+            stat[i] = chi_square(counts[i], counts[k])
+            heapq.heappush(heap, (stat[i], i))
+        h = before[i]
+        if h is not None:
+            stat[h] = chi_square(counts[h], counts[i])
+            heapq.heappush(heap, (stat[h], h))
 
-    cuts = tuple(
-        (intervals[i][1] + intervals[i + 1][0]) / 2 for i in range(len(intervals) - 1)
-    )
-    return IntervalMap(attr, cuts, _interval_labels(cuts))
+    cuts: list[float] = []
+    i, j = 0, after[0]
+    while j is not None:
+        cuts.append((high[i] + low[j]) / 2)
+        i, j = j, after[j]
+    return IntervalMap(attr, tuple(cuts), _interval_labels(cuts))
 
 
 def discretize_columns(

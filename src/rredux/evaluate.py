@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from operator import ne
 from typing import Callable, Sequence
 
+from .errors import ValidationError
 from .table import DecisionTable, project, subset
 
 
@@ -70,12 +71,13 @@ def stratified_folds(table: DecisionTable, k: int, seed: int) -> FoldPlan:
     """Deal objects onto k folds, stratified by decision class.
 
     The dealing pointer continues from class to class, so total fold
-    sizes stay balanced even when many classes have few objects.
+    sizes stay balanced even when many classes have few objects.  A table
+    with fewer objects than folds is short data: ``ValidationError``.
     """
     if k < 2:
         raise ValueError("folds must be >= 2")
     if k > table.m:
-        raise ValueError(f"folds must be <= object count ({table.m})")
+        raise ValidationError(f"{k} folds need at least {k} objects, got {table.m}")
     by_class: dict[int, list[int]] = {}
     for i, cls in enumerate(table.column(table.decision_attr)):
         by_class.setdefault(cls, []).append(i)

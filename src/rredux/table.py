@@ -84,6 +84,8 @@ class DecisionTable:
             raise ValueError("attribute names must be unique")
         if set(self.codes) != set(names):
             raise ValueError("codes must hold one column per attribute")
+        if set(self.domains) != set(names):
+            raise ValueError("domains must hold one entry per attribute")
         for attr in names:
             column, size = self.codes[attr], len(self.domains[attr])
             if len(column) != m:

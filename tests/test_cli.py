@@ -331,6 +331,13 @@ class TestDiscretize:
         assert out == ""
         assert "max-intervals" in err
 
+    def test_nan_chi_threshold_exits_two(self):
+        code, out, err = run_cli(
+            "discretize", "--input", NUMERIC, "--chi-threshold", "nan"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: threshold must be non-negative\n"
+
     def test_keeps_decision_column_position(self, tmp_path):
         src = tmp_path / "mid.csv"
         src.write_text("a,d,b\n1.5,yes,u\n2.5,no,v\n")
@@ -432,6 +439,13 @@ class TestEvaluate:
         assert code == 2
         assert "j48" in err
 
+    def test_fewer_rows_than_folds_exits_one(self, tmp_path):
+        src = tmp_path / "one_row.csv"
+        src.write_text("a,d\nu,A\n")
+        code, out, err = run_cli("evaluate", "--input", str(src), "--folds", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: 2 folds need at least 2 objects, got 1\n"
+
 
 class TestJsonEmitter:
     def test_canonical_form(self):
@@ -461,6 +475,53 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["reduct"] == ["r", "i", "e"]
+
+    def test_commands_load_neither_scipy_nor_numpy(self):
+        """A categorical reduct and the default-threshold ChiMerge of a
+        three-class numeric table run without importing scipy or numpy."""
+        argvs = [
+            ["reduct", "--input", ADMISSIONS],
+            ["discretize", "--input", NUMERIC],
+            ["evaluate", "--input", NUMERIC, "--classifier", "nb"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from rredux.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(json.dumps(sorted({'scipy', 'numpy'} & set(sys.modules))))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            cwd=Path(__file__).parents[1], env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == []
+
+    def test_threshold_beyond_table_without_scipy_exits_two(self, tmp_path):
+        """33 classes need the critical value for 32 df, which only scipy
+        gives; with scipy unavailable the run asks for --chi-threshold."""
+        src = tmp_path / "many_classes.csv"
+        src.write_text("x,d\n" + "".join(f"{i}.5,c{i}\n" for i in range(33)))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from rredux.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        args = [sys.executable, "-c", script, "discretize", "--input", str(src)]
+        env = {**os.environ, "PYTHONPATH": "src"}
+        root = Path(__file__).parents[1]
+        result = subprocess.run(args, cwd=root, env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ")
+        assert "--chi-threshold" in result.stderr
+        assert "Traceback" not in result.stderr
+        result = subprocess.run(args + ["--chi-threshold", "40"], cwd=root, env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_perfbench_tracer_rebinds_every_name(self):
         """perfbench/tracer.py rebinds module attributes by name; a missing one

@@ -109,6 +109,10 @@ class TestChimergeArguments:
         with pytest.raises(ValueError):
             chimerge([1], ["A"], threshold=-1)
 
+    def test_nan_threshold(self):
+        with pytest.raises(ValueError, match="threshold must be non-negative"):
+            chimerge([1, 2], ["A", "B"], threshold=float("nan"))
+
     def test_non_finite_value(self):
         with pytest.raises(ValidationError):
             chimerge([1.0, float("nan")], ["A", "B"])
@@ -199,3 +203,12 @@ class TestDiscretizeColumns:
         ]
         with pytest.raises(ValueError):
             discretize_columns(cols, "d")
+
+
+def test_default_threshold_matches_scipy():
+    """The built-in table (df 1-30) and the scipy path beyond it both give
+    scipy's own floats."""
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    for n in range(1, 41):
+        assert default_threshold(n) == float(chi2.ppf(0.95, max(n - 1, 1))), n
+    assert default_threshold(4, 0.99) == float(chi2.ppf(0.99, 3))

@@ -6,6 +6,7 @@ import pytest
 from rredux import (
     EvalReport,
     RawColumn,
+    ValidationError,
     compare,
     cross_validate,
     from_columns,
@@ -46,7 +47,8 @@ class TestStratifiedFolds:
     def test_bad_k(self, admissions):
         with pytest.raises(ValueError):
             stratified_folds(admissions, 1, seed=0)
-        with pytest.raises(ValueError):
+        # more folds than objects is short data, not a bad k
+        with pytest.raises(ValidationError, match="9 folds need at least 9 objects"):
             stratified_folds(admissions, admissions.m + 1, seed=0)
 
     def test_invariants_on_random_tables(self):

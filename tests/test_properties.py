@@ -1,5 +1,5 @@
-"""Generated CSVs through every subcommand: a documented exit code, never a
-traceback, and the same bytes on a rerun."""
+"""Generated CSVs through every subcommand with valid flags: exit 0 or 1
+(bad data), never a traceback, and the same bytes on a rerun."""
 
 import contextlib
 import csv
@@ -68,5 +68,7 @@ def test_cli_exit_codes_and_reruns(text, drop_missing):
         ]
         for argv in commands:
             first = run(argv + extra)
-            assert first[0] in (0, 1, 2), (argv, first)
+            # every flag here is valid, so only the data can fail a run (exit
+            # 1); fewer rows than folds is short data, not a bad --folds
+            assert first[0] in (0, 1), (argv, first)
             assert run(argv + extra) == first

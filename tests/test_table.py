@@ -249,6 +249,12 @@ class TestDecisionTableInvariants:
                     admissions.domains,
                 )
 
+    def test_domains_keyed_by_attribute(self):
+        codes = {"a": (0,), "d": (0,)}
+        for bad in ({"a": ("u",)}, {"a": ("u",), "d": ("y",), "z": ("w",)}):
+            with pytest.raises(ValueError, match="domains must hold one entry per attribute"):
+                DecisionTable(("x1",), ("a",), "d", codes, bad)
+
     def test_code_outside_domain(self, admissions):
         bad = {**admissions.codes, "i": admissions.codes["i"][:-1] + (9,)}
         with pytest.raises(ValueError, match="object 'x8': code 9 outside domain of 'i'"):
