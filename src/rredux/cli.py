@@ -37,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--input", required=True, help="path to a CSV file with a header row")
     shared.add_argument("--decision-col", help="decision column name (default: last column)")
     shared.add_argument("--delimiter", default=",", help="CSV delimiter (default: ,)")
-    shared.add_argument("--output", choices=("json", "text"), default="text")
-    shared.add_argument("--trace", action="store_true", help="include the full pipeline trace")
     shared.add_argument("--drop-missing", action="store_true",
                         help="drop rows with missing cells instead of rejecting the file")
     shared.add_argument("--numeric-cols", metavar="A,B,C",
@@ -48,17 +46,21 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--max-intervals", type=int, default=DEFAULT_MAX_INTERVALS,
                         help="ChiMerge interval cap (default: %(default)s)")
 
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--output", choices=("json", "text"), default="text")
+    report.add_argument("--trace", action="store_true", help="include the full pipeline trace")
+
     p_disc = sub.add_parser("discretize", parents=[shared],
                             help="replace numeric columns with ChiMerge interval labels")
     p_disc.add_argument("--emit-cuts", metavar="PATH",
                         help="write the cut points per column to a JSON file")
     p_disc.set_defaults(func=cmd_discretize)
 
-    p_red = sub.add_parser("reduct", parents=[shared],
+    p_red = sub.add_parser("reduct", parents=[shared, report],
                            help="compute the single reduct of the table")
     p_red.set_defaults(func=cmd_reduct)
 
-    p_eval = sub.add_parser("evaluate", parents=[shared],
+    p_eval = sub.add_parser("evaluate", parents=[shared, report],
                             help="cross-validate full vs. reduced attribute sets")
     p_eval.add_argument("--folds", type=int, default=5, help="fold count (default: %(default)s)")
     p_eval.add_argument("--seed", type=int,
@@ -81,6 +83,8 @@ def _read_columns(args) -> tuple[list[RawColumn], str, dict[str, IntervalMap]]:
     """Parse the input, then discretize its numeric columns."""
     if args.max_intervals < 1:
         raise ValueError("max-intervals must be >= 1")
+    if args.chi_threshold is not None and not args.chi_threshold >= 0:
+        raise ValueError("threshold must be non-negative")
     with open(args.input, "rb") as source:
         columns, decision = parse_columns(
             source,

@@ -2,14 +2,15 @@
 
 The similarity factor of attribute A toward attribute B measures how well
 the decision-refined partition of A nests inside that of B: each block of
-A's partition contributes the fraction of its objects captured by the
-best-overlapping block of B's partition, and the factor is the mean
+A's partition contributes the largest count of its members that share one
+block of B's partition, over its size, and the factor is the mean
 contribution.  It is asymmetric, lies in (0, 1], and equals 1 exactly
 when every block of A's partition fits inside one block of B's.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,21 +23,17 @@ Blocks = tuple[tuple[int, ...], ...]
 def factor(source: Blocks, target: Blocks) -> float:
     """Similarity factor of the source partition toward the target.
 
-    Both arguments must partition the same universe.  Computed in exact
-    rational arithmetic so 1.0 is returned iff source refines target.
+    Both arguments must partition the same non-empty universe.  Each source
+    block keeps the largest count of its members in one target block; the
+    ratios are summed exactly, so 1.0 is returned iff source refines target.
     """
-    if not source or not target:
-        raise ValueError("similarity factor needs non-empty partitions")
-    universe = {x for block in source for x in block}
-    if {x for block in target for x in block} != universe:
-        raise ValueError("partitions cover different universes")
-    target_sets = [frozenset(block) for block in target]
-    total = Fraction(0)
+    where = {x: b for b, block in enumerate(target) for x in block}
+    if not where or where.keys() != {x for block in source for x in block}:
+        raise ValueError("partitions must cover the same non-empty universe")
+    best = Counter()  # block size -> summed largest counts
     for block in source:
-        members = frozenset(block)
-        best = max(len(members & t) for t in target_sets)
-        total += Fraction(best, len(block))
-    return float(total / len(source))
+        best[len(block)] += max(Counter(map(where.__getitem__, block)).values())
+    return float(sum(Fraction(n, size) for size, n in best.items()) / len(source))
 
 
 @dataclass(frozen=True)

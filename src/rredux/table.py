@@ -189,8 +189,11 @@ def parse_columns(
     docstring for how condition columns are typed.  A leading byte-order
     mark is skipped.
     """
-    if len(delimiter) != 1:
-        raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+    if len(delimiter) != 1 or delimiter in '"\r\n':
+        raise ValueError(
+            f"delimiter must be a single character other than a quote or line break,"
+            f" got {delimiter!r}"
+        )
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     header, numbered = _read_rows(text, delimiter)
     rows = _apply_missing_policy(header, numbered, drop_missing)

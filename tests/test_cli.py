@@ -258,6 +258,18 @@ class TestReduct:
         assert err.startswith("error: delimiter must be a single character")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["reduct", "discretize"])
+    @pytest.mark.parametrize("delimiter", ['"', "\n", "\r"],
+                             ids=["quote", "newline", "carriage-return"])
+    def test_delimiter_that_cannot_split_a_row_exits_two(self, command, delimiter):
+        code, out, err = run_cli(
+            command, "--input", ADMISSIONS, f"--delimiter={delimiter}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: delimiter must be a single character")
+        assert "Traceback" not in err
+
 
 class TestDiscretize:
     def test_golden_two_cluster_column(self, tmp_path):
@@ -337,6 +349,22 @@ class TestDiscretize:
         )
         assert (code, out) == (2, "")
         assert err == "error: threshold must be non-negative\n"
+
+    @pytest.mark.parametrize("command", ["reduct", "discretize"])
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_bad_chi_threshold_on_categorical_input_exits_two(self, command, threshold):
+        code, out, err = run_cli(
+            command, "--input", ADMISSIONS, f"--chi-threshold={threshold}"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: threshold must be non-negative\n"
+
+    @pytest.mark.parametrize("flags", [["--output", "json"], ["--trace"]],
+                             ids=["output", "trace"])
+    def test_report_flags_are_not_accepted(self, flags):
+        code, out, err = run_cli("discretize", "--input", ADMISSIONS, *flags)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flags[0]}" in err
 
     def test_keeps_decision_column_position(self, tmp_path):
         src = tmp_path / "mid.csv"

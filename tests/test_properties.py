@@ -17,13 +17,15 @@ from rredux.cli import main
 NUMBERS = ("0.5", "1.5", "2", "-3.25", "1e1", "4.0", ".5")
 WORDS = ("x", "y", "z", "1", "2.5", "inf", "1_0.5", " 3.5 ", "١.٥", "a,b", 'q"t')
 GAPPY = ("", "?", "x", "y")  # with the missing-value tokens
+OVERSIZED = "x" * (csv.field_size_limit() + 1)  # one character over the reader's limit
 
 
 @st.composite
 def csv_texts(draw):
     """A header with maybe an empty or duplicate name, 0-6 rows, columns of
-    numbers, words or words with missing cells, and now and then a row one
-    cell short or long."""
+    numbers, words or words with missing cells, now and then a row one
+    cell short or long, and now and then one field, header or cell, longer
+    than the CSV reader accepts."""
     width = draw(st.integers(1, 5))
     header = [f"h{i}" for i in range(width)]
     fault = draw(st.sampled_from(["none"] * 6 + ["empty", "duplicate"]))
@@ -37,6 +39,9 @@ def csv_texts(draw):
         row = [draw(st.sampled_from(pool)) for pool in pools]
         ragged = draw(st.sampled_from([0] * 30 + [-1, 1]))
         rows.append(row[:ragged] if ragged < 0 else row + ["x"] * ragged)
+    if draw(st.sampled_from([False] * 7 + [True])):
+        line = draw(st.sampled_from([header] + [row for row in rows if row]))
+        line[draw(st.integers(0, len(line) - 1))] = OVERSIZED
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
