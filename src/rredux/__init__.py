@@ -13,7 +13,7 @@ from .errors import DataError, ParseError, SchemaError, ValidationError
 from .evaluate import EvalReport, compare, cross_validate, stratified_folds
 from .partition import blocks, consistency, decision_blocks, relative_blocks
 from .reduct import ReductResult, ass_gen, comp_sim, run_pipeline, sin_red_gen
-from .similarity import SimilarityMatrix, factor, matrix
+from .similarity import SimilarityMatrix, matrix
 from .table import DecisionTable, RawColumn, from_columns, parse_columns
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "cross_validate",
     "decision_blocks",
     "discretize_columns",
-    "factor",
     "from_columns",
     "matrix",
     "parse_columns",

@@ -234,7 +234,8 @@ def cmd_evaluate(args) -> int:
             payload["trace"] = result.trace
         print(canonical(payload))
         return 0
-    lines = [
+    lines = _render_trace(result.trace) if args.trace else []
+    lines += [
         f"reduct: {_attr_list(result.reduct)}",
         f"isolated: {_attr_list(result.isolated)}",
         f"classifier: {args.classifier}  folds: {args.folds}  seed: {seed}",

@@ -15,6 +15,9 @@ Attributes that never entered the compound set are appended to the
 reduct: an attribute similar to nothing carries information no selected
 attribute can stand in for.  The full run is recorded in a trace dict so
 every stage can be audited or serialized.
+
+Each stage takes the :class:`SimilaritySet` the stage before it returns;
+``run_pipeline`` chains them.
 """
 
 from __future__ import annotations
@@ -26,18 +29,13 @@ from .partition import blocks, decision_blocks
 from .similarity import SimilarityMatrix
 from .table import DecisionTable
 
-SELECTED = "selected"
-FILTERED = "filtered"
-COMPOUND = "compound"
-
 
 @dataclass(frozen=True)
 class SimilarityElement:
     """One similarity edge: ``left`` is similar to the attributes in ``right``.
 
-    Simple elements (stages selected/filtered) have a singleton right and
-    carry their factor; compound elements may have several rights and no
-    factor.
+    Selected and filtered elements have a singleton right and carry their
+    factor; compound elements may have several rights and no factor.
     """
 
     left: str
@@ -55,28 +53,11 @@ class SimilarityElement:
 
 @dataclass(frozen=True)
 class SimilaritySet:
-    """An ordered similarity set at one pipeline stage."""
+    """An ordered similarity set; selected and filtered sets keep the average
+    factor of the selected elements."""
 
     elements: tuple[SimilarityElement, ...]
-    stage: str
     avg_factor: float | None = None
-
-    def __post_init__(self):
-        if self.stage not in (SELECTED, FILTERED, COMPOUND):
-            raise ValueError(f"unknown stage {self.stage!r}")
-        if self.stage in (SELECTED, FILTERED):
-            pairs = set()
-            for el in self.elements:
-                if len(el.right) != 1 or el.factor is None:
-                    raise ValueError(f"stage {self.stage}: elements must be simple")
-                pair = frozenset((el.left, el.right[0]))
-                if pair in pairs:
-                    raise ValueError(f"pair {set(pair)} appears twice")
-                pairs.add(pair)
-        else:
-            lefts = [el.left for el in self.elements]
-            if len(set(lefts)) != len(lefts):
-                raise ValueError("compound stage: lefts must be distinct")
 
 
 @dataclass(frozen=True)
@@ -107,12 +88,12 @@ def select_pairs(mat: SimilarityMatrix) -> SimilaritySet:
             else:
                 elements.append(SimilarityElement(attrs[j], (attrs[i],), mat.values[j][i]))
     avg = sum(el.factor for el in elements) / len(elements) if elements else None
-    return SimilaritySet(tuple(elements), SELECTED, avg)
+    return SimilaritySet(tuple(elements), avg)
 
 
 def _filter_above_average(selected: SimilaritySet) -> SimilaritySet:
     kept = tuple(el for el in selected.elements if el.factor > selected.avg_factor)
-    return SimilaritySet(kept, FILTERED, selected.avg_factor)
+    return SimilaritySet(kept, selected.avg_factor)
 
 
 def ass_gen(mat: SimilarityMatrix) -> SimilaritySet:
@@ -131,8 +112,6 @@ def comp_sim(ass: SimilaritySet) -> SimilaritySet:
     is the union of the originals, in first-occurrence order.  Factors
     are dropped.
     """
-    if ass.stage != FILTERED:
-        raise ValueError(f"comp_sim expects a filtered set, got {ass.stage!r}")
     rights: dict[str, list[str]] = {}
     for el in ass.elements:
         merged = rights.setdefault(el.left, [])
@@ -142,7 +121,7 @@ def comp_sim(ass: SimilaritySet) -> SimilaritySet:
     elements = tuple(
         SimilarityElement(left, tuple(right)) for left, right in rights.items()
     )
-    return SimilaritySet(elements, COMPOUND)
+    return SimilaritySet(elements)
 
 
 def sin_red_gen(ass: SimilaritySet, all_attrs: tuple[str, ...]) -> ReductResult:
@@ -154,8 +133,6 @@ def sin_red_gen(ass: SimilaritySet, all_attrs: tuple[str, ...]) -> ReductResult:
     the selected right-hand side.  Attributes mentioned nowhere in the
     compound set are appended afterwards as isolated attributes.
     """
-    if ass.stage != COMPOUND:
-        raise ValueError(f"sin_red_gen expects a compound set, got {ass.stage!r}")
     order = {a: k for k, a in enumerate(all_attrs)}
     for el in ass.elements:
         for attr in (el.left, *el.right):

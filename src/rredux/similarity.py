@@ -1,11 +1,15 @@
 """Similarity factors between condition attributes.
 
 The similarity factor of attribute A toward attribute B measures how well
-the decision-refined partition of A nests inside that of B: each block of
-A's partition contributes the largest count of its members that share one
-block of B's partition, over its size, and the factor is the mean
-contribution.  It is asymmetric, lies in (0, 1], and equals 1 exactly
-when every block of A's partition fits inside one block of B's.
+the decision-refined partition of A nests inside that of B.  Each block
+of A's partition is one non-empty (a, d) cell: the objects with value a
+and decision d.  The cell contributes max_b count(a, b, d) / count(a, d),
+the largest share of it that also agrees on B, and the factor is the
+mean contribution.  It is asymmetric, lies in (0, 1], and equals 1
+exactly when every block of A's partition fits inside one block of B's.
+
+``matrix`` counts the (a, b, d) triples of each unordered attribute pair
+once and reads both directions from that count.
 """
 
 from __future__ import annotations
@@ -13,27 +17,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .partition import relative_blocks
 from .table import DecisionTable
 
 Blocks = tuple[tuple[int, ...], ...]
-
-
-def factor(source: Blocks, target: Blocks) -> float:
-    """Similarity factor of the source partition toward the target.
-
-    Both arguments must partition the same non-empty universe.  Each source
-    block keeps the largest count of its members in one target block; the
-    ratios are summed exactly, so 1.0 is returned iff source refines target.
-    """
-    where = {x: b for b, block in enumerate(target) for x in block}
-    if not where or where.keys() != {x for block in source for x in block}:
-        raise ValueError("partitions must cover the same non-empty universe")
-    best = Counter()  # block size -> summed largest counts
-    for block in source:
-        best[len(block)] += max(Counter(map(where.__getitem__, block)).values())
-    return float(sum(Fraction(n, size) for size, n in best.items()) / len(source))
 
 
 @dataclass(frozen=True)
@@ -42,7 +31,8 @@ class SimilarityMatrix:
 
     ``values[i][j]`` is the factor of ``attrs[i]`` toward ``attrs[j]``;
     the diagonal is fixed at 1.0.  ``relative`` keeps the per-attribute
-    decision-refined partitions the factors were computed from.
+    decision-refined partitions, whose blocks are the cells the factors
+    average over.
     """
 
     attrs: tuple[str, ...]
@@ -59,15 +49,33 @@ class SimilarityMatrix:
         return self.values[self.index(source)][self.index(target)]
 
 
+def _mean_share(best: dict, sizes: Counter) -> float:
+    """Mean of ``best[cell] / sizes[cell]`` over the cells, summed exactly.
+
+    The ratios are grouped by cell size, so 1.0 comes back iff every cell
+    keeps all of its objects.
+    """
+    by_size = Counter()  # cell size -> summed largest counts
+    for cell, size in sizes.items():
+        by_size[size] += best[cell]
+    return float(sum(Fraction(n, size) for size, n in by_size.items()) / len(sizes))
+
+
 def matrix(table: DecisionTable) -> SimilarityMatrix:
-    """Pairwise similarity factors, one relative partition per attribute."""
+    """Pairwise similarity factors from one joint count per attribute pair."""
     attrs = table.condition_attrs
     relative = {a: relative_blocks(table, a) for a in attrs}
-    values = tuple(
-        tuple(
-            1.0 if a == b else factor(relative[a], relative[b])
-            for b in attrs
-        )
-        for a in attrs
-    )
-    return SimilarityMatrix(attrs, relative, values)
+    decision = table.column(table.decision_attr)
+    columns = [table.column(a) for a in attrs]
+    sizes = [Counter(zip(column, decision)) for column in columns]  # count(a, d)
+    values = [[1.0] * len(attrs) for _ in attrs]
+    for i, j in combinations(range(len(attrs)), 2):
+        best_i, best_j = {}, {}  # (a, d) -> max_b count(a, b, d), and (b, d) -> max_a
+        for (a, b, d), n in Counter(zip(columns[i], columns[j], decision)).items():
+            if n > best_i.get((a, d), 0):
+                best_i[a, d] = n
+            if n > best_j.get((b, d), 0):
+                best_j[b, d] = n
+        values[i][j] = _mean_share(best_i, sizes[i])
+        values[j][i] = _mean_share(best_j, sizes[j])
+    return SimilarityMatrix(attrs, relative, tuple(map(tuple, values)))

@@ -1,9 +1,9 @@
-"""The block-pair intersection that ``rredux.similarity.factor`` replaced.
+"""The block-pair intersection that the member-count factor replaced.
 
 It builds a frozenset per block and intersects every source block with
 every target block: quadratic in the block counts, but plainly the
-definition the member count must reproduce.  Kept as the differential
-oracle for ``tests/test_similarity_oracle.py``.
+definition the member count in ``member_count_oracle`` must reproduce.
+Kept as the differential oracle for ``tests/test_similarity_oracle.py``.
 """
 
 from __future__ import annotations

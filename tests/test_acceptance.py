@@ -35,8 +35,9 @@ from rredux.evaluate import compare, nb_train, nb_predict, stratified_folds
 from rredux.jsonout import canonical
 from rredux.partition import blocks, decision_blocks, relative_blocks
 from rredux.reduct import comp_sim, run_pipeline, select_pairs, sin_red_gen, ass_gen
-from rredux.similarity import SimilarityMatrix, factor, matrix
+from rredux.similarity import SimilarityMatrix, matrix
 from rredux.table import RawColumn, from_columns
+from member_count_oracle import factor
 
 import json
 from pathlib import Path

@@ -406,6 +406,18 @@ class TestEvaluate:
         header = next(l for l in out.splitlines() if l.startswith("set"))
         assert header.split() == ["set", "attrs", "mean_accuracy", "consistency"]
 
+    def test_text_trace_precedes_report(self):
+        """``--trace`` prints the same trace as ``reduct --trace``, then the
+        untraced report unchanged."""
+        args = ("evaluate", "--input", ADMISSIONS, "--folds", "2", "--seed", "7")
+        code, out, _ = run_cli(*args, "--trace")
+        assert code == 0
+        _, plain, _ = run_cli(*args)
+        _, reduct, _ = run_cli("reduct", "--input", ADMISSIONS, "--trace")
+        trace = reduct[:reduct.index("reduct: ")]
+        assert trace.startswith("partitions:\n")
+        assert out == trace + plain
+
     def test_reruns_byte_identical(self):
         args = ("evaluate", "--input", NUMERIC, "--folds", "3", "--seed", "5",
                 "--output", "json")
@@ -566,7 +578,8 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("argv, spans", [
         (("reduct", "--input", ADMISSIONS, "--output", "json"),
-         {"table.from_columns", "reduct.run_pipeline"}),
+         {"table.from_columns", "reduct.run_pipeline", "partition.relative_blocks",
+          "similarity.matrix"}),
         (("evaluate", "--input", NUMERIC, "--classifier", "1nn", "--folds", "3",
           "--seed", "5", "--output", "json"),
          {"table.from_columns", "reduct.run_pipeline", "evaluate.cv_1nn"}),

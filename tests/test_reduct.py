@@ -52,30 +52,10 @@ class TestElementAndSetInvariants:
         with pytest.raises(ValueError):
             SimilarityElement("a", ("b", "b"))
 
-    def test_unknown_stage(self):
-        with pytest.raises(ValueError):
-            SimilaritySet((), "done")
-
-    def test_selected_pair_appears_once(self):
-        pair = SimilarityElement("a", ("b",), 0.5)
-        flipped = SimilarityElement("b", ("a",), 0.6)
-        with pytest.raises(ValueError):
-            SimilaritySet((pair, flipped), "selected")
-
-    def test_simple_stage_rejects_compound_elements(self):
-        with pytest.raises(ValueError):
-            SimilaritySet((SimilarityElement("a", ("b", "c")),), "filtered")
-
-    def test_compound_lefts_distinct(self):
-        els = (SimilarityElement("a", ("b",)), SimilarityElement("a", ("c",)))
-        with pytest.raises(ValueError):
-            SimilaritySet(els, "compound")
-
 
 class TestAssGen:
     def test_sample_selection(self, admissions):
         selected = select_pairs(matrix(admissions))
-        assert selected.stage == "selected"
         assert edge_view(selected.elements) == [
             ("e", ("i",), pytest.approx(5 / 6)),
             ("i", ("f",), pytest.approx(4 / 5)),
@@ -88,7 +68,6 @@ class TestAssGen:
 
     def test_sample_filter_keeps_strict_exceeders(self, admissions):
         filtered = ass_gen(matrix(admissions))
-        assert filtered.stage == "filtered"
         assert [(el.left, el.right) for el in filtered.elements] == [("r", ("f",))]
         assert filtered.avg_factor == pytest.approx(101 / 120)
 
@@ -113,10 +92,17 @@ class TestAssGen:
         for _ in range(100):
             table = make_random_table(rng, min_attrs=2)
             n = len(table.condition_attrs)
-            selected = select_pairs(matrix(table))
+            mat = matrix(table)
+            selected = select_pairs(mat)
             assert len(selected.elements) == n * (n - 1) // 2
+            assert all(len(el.right) == 1 and el.factor is not None
+                       for el in selected.elements)
             seen = {frozenset((el.left, el.right[0])) for el in selected.elements}
             assert len(seen) == n * (n - 1) // 2
+            filtered = ass_gen(mat)
+            assert all(el.factor > filtered.avg_factor for el in filtered.elements)
+            lefts = [el.left for el in comp_sim(filtered).elements]
+            assert len(set(lefts)) == len(lefts)
 
 
 class TestCompSim:
@@ -127,7 +113,7 @@ class TestCompSim:
             SimilarityElement("e", ("f",), 0.85),
             SimilarityElement("r", ("f",), 0.8),
         )
-        compound = comp_sim(SimilaritySet(els, "filtered", 0.7))
+        compound = comp_sim(SimilaritySet(els, 0.7))
         assert [(el.left, el.right) for el in compound.elements] == [
             ("e", ("i", "f")),
             ("i", ("f",)),
@@ -140,18 +126,14 @@ class TestCompSim:
             SimilarityElement("a", ("b",), 0.9),
             SimilarityElement("c", ("b",), 0.8),
         )
-        compound = comp_sim(SimilaritySet(els, "filtered", 0.5))
+        compound = comp_sim(SimilaritySet(els, 0.5))
         assert [(el.left, el.right) for el in compound.elements] == [
             ("a", ("b",)),
             ("c", ("b",)),
         ]
 
     def test_empty_passes_through(self):
-        assert comp_sim(SimilaritySet((), "filtered", None)).elements == ()
-
-    def test_requires_filtered_stage(self):
-        with pytest.raises(ValueError):
-            comp_sim(SimilaritySet((), "compound"))
+        assert comp_sim(SimilaritySet(())).elements == ()
 
     def test_content_preserved_on_random_tables(self):
         rng = random.Random(13)
@@ -177,19 +159,19 @@ class TestSinRedGen:
         assert result.trace["iterations"] == [{"selected": "r", "deleted": []}]
 
     def test_single_compound_element(self):
-        compound = SimilaritySet((SimilarityElement("a", ("b", "c")),), "compound")
+        compound = SimilaritySet((SimilarityElement("a", ("b", "c")),))
         result = sin_red_gen(compound, ("a", "b", "c"))
         assert result.reduct == ("a",)
         assert result.isolated == ()
 
     def test_empty_set_makes_everything_isolated(self):
-        result = sin_red_gen(SimilaritySet((), "compound"), ("a", "b"))
+        result = sin_red_gen(SimilaritySet(()), ("a", "b"))
         assert result.reduct == ("a", "b")
         assert result.isolated == ("a", "b")
 
     def test_size_tie_goes_to_earliest_attribute(self):
         els = (SimilarityElement("b", ("c",)), SimilarityElement("a", ("c",)))
-        result = sin_red_gen(SimilaritySet(els, "compound"), ("a", "b", "c"))
+        result = sin_red_gen(SimilaritySet(els), ("a", "b", "c"))
         assert result.trace["iterations"][0]["selected"] == "a"
         assert result.reduct == ("a", "b")
 
@@ -199,7 +181,7 @@ class TestSinRedGen:
             SimilarityElement("b", ("c",)),
             SimilarityElement("c", ("d",)),
         )
-        result = sin_red_gen(SimilaritySet(els, "compound"), ("a", "b", "c", "d"))
+        result = sin_red_gen(SimilaritySet(els), ("a", "b", "c", "d"))
         assert result.trace["iterations"] == [
             {"selected": "a", "deleted": ["b"]},
             {"selected": "c", "deleted": []},
@@ -207,12 +189,8 @@ class TestSinRedGen:
         assert result.reduct == ("a", "c")
         assert result.isolated == ()
 
-    def test_requires_compound_stage(self):
-        with pytest.raises(ValueError):
-            sin_red_gen(SimilaritySet((), "filtered", None), ("a",))
-
     def test_unknown_attribute_rejected(self):
-        compound = SimilaritySet((SimilarityElement("a", ("z",)),), "compound")
+        compound = SimilaritySet((SimilarityElement("a", ("z",)),))
         with pytest.raises(ValueError):
             sin_red_gen(compound, ("a", "b"))
 

@@ -1,13 +1,16 @@
-"""The member-count similarity factor against the block-pair intersection
-it replaced, kept in ``similarity_oracle``, on generated partition pairs."""
+"""The joint-count similarity matrix against the member-count factor it
+replaced, kept in ``member_count_oracle``, on generated decision tables;
+and the member count against the block-pair intersection it replaced in
+turn, kept in ``similarity_oracle``, on generated partition pairs."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import member_count_oracle
 import similarity_oracle
-from rredux import factor
+from rredux import RawColumn, from_columns, matrix, relative_blocks
 
 SETTINGS = dict(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -46,49 +49,52 @@ def partition_pairs(draw):
 @settings(max_examples=500, **SETTINGS)
 @given(pair=partition_pairs())
 def test_member_count_matches_block_pairs(pair):
-    source, target = pair
-    assert factor(source, target) == similarity_oracle.factor(source, target)
-    assert factor(target, source) == similarity_oracle.factor(target, source)
+    for a, b in (pair, pair[::-1]):
+        assert member_count_oracle.factor(a, b) == similarity_oracle.factor(a, b)
 
 
-def _without(blocks, x):
-    """``blocks`` without member ``x``; a block left empty goes too."""
-    return tuple(b for b in (tuple(y for y in block if y != x) for block in blocks) if b)
+def _table(columns, decision):
+    """A table of the labelled condition ``columns`` and the ``decision``."""
+    raw = [RawColumn(f"a{i}", "categorical", tuple(map(str, cells)))
+           for i, cells in enumerate(columns)]
+    raw.append(RawColumn("d", "categorical", tuple(map(str, decision))))
+    return from_columns(raw, "d")
 
 
-def _with(blocks, x):
-    """``blocks`` with ``x`` added to the first block."""
-    return (blocks[0] + (x,),) + blocks[1:]
+@st.composite
+def tables(draw):
+    """1-60 rows, 1-6 condition attributes of arity 1-8, 1-4 classes.  Some
+    columns coarsen the one before them, so some factors are exactly 1.0;
+    some deal their values round-robin, so many cells share one size."""
+    m = draw(st.integers(1, 60))
+
+    def labels(arity):
+        k = draw(st.integers(1, arity))
+        if draw(st.booleans()):
+            return [i % k for i in range(m)]
+        return draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+
+    columns = [labels(8)]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(1, 8))
+            columns.append([v % k for v in columns[-1]])
+        else:
+            columns.append(labels(8))
+    return _table(columns, labels(4))
 
 
-def _both_raise(source, target):
-    with pytest.raises(ValueError, match="universe"):
-        factor(source, target)
-    with pytest.raises(ValueError):
-        similarity_oracle.factor(source, target)
+def _oracle_matrix(table):
+    """The member-count factor between the relative partitions of every
+    ordered attribute pair; 1.0 on the diagonal, as a partition refines itself."""
+    rel = {a: relative_blocks(table, a) for a in table.condition_attrs}
+    return tuple(tuple(member_count_oracle.factor(rel[a], rel[b]) for b in rel)
+                 for a in rel)
 
 
-@settings(max_examples=200, **SETTINGS)
-@given(pair=partition_pairs(), data=st.data())
-def test_both_reject_a_different_universe(pair, data):
-    source, target = pair
-    universe = sorted(x for block in source for x in block)
-    gone = data.draw(st.sampled_from(universe))
-    extra = max(universe) + 1
-    for side in (0, 1):
-        dropped = _without(pair[side], gone)
-        changes = [dropped, _with(pair[side], extra)]
-        if dropped:  # one id swapped for a new one: same size, other universe
-            changes.append(_with(dropped, extra))
-        for changed in changes:
-            args = (changed, target) if side == 0 else (source, changed)
-            _both_raise(*args)
-
-
-@settings(max_examples=50, **SETTINGS)
-@given(pair=partition_pairs())
-def test_both_reject_an_empty_side(pair):
-    source, target = pair
-    _both_raise((), target)
-    _both_raise(source, ())
-    _both_raise((), ())
+@settings(max_examples=300, **SETTINGS)
+@example(table=_table([[0], [1], [2]], [0]))
+@example(table=_table([[0, 1, 1, 2, 0], [0, 0, 1, 1, 1]], [0, 0, 0, 0, 0]))
+@given(table=tables())
+def test_matrix_matches_member_count_oracle(table):
+    assert matrix(table).values == _oracle_matrix(table)
