@@ -9,7 +9,7 @@ classification accuracy on the full versus the reduced attribute set.
 """
 
 from .discretize import IntervalMap, chimerge, discretize_columns
-from .errors import DataError, ParseError, SchemaError, ValidationError
+from .errors import DataError, ParseError, SchemaError, UsageError, ValidationError
 from .evaluate import EvalReport, compare, cross_validate, stratified_folds
 from .partition import blocks, consistency, decision_blocks, relative_blocks
 from .reduct import ReductResult, ass_gen, comp_sim, run_pipeline, sin_red_gen
@@ -28,6 +28,7 @@ __all__ = [
     "ReductResult",
     "SchemaError",
     "SimilarityMatrix",
+    "UsageError",
     "ValidationError",
     "ass_gen",
     "blocks",

@@ -1,9 +1,10 @@
 """Command-line front end: discretize, reduct, evaluate.
 
 Each subcommand reads a CSV decision table, does its work, and writes to
-stdout; diagnostics go to stderr.  Exit status is 0 on success, 1 for
-unreadable or invalid input data, and 2 for bad flag values.  JSON output
-is canonical (sorted keys, fixed six-decimal floats) so reruns are
+stdout; diagnostics go to stderr.  Exit status is 0 on success, 2 for bad
+flag values (``UsageError``), and 1 for any other error reported: input
+data that cannot be read or used, or a fault found in the library.  JSON
+output is canonical (sorted keys, fixed six-decimal floats) so reruns are
 byte-identical.
 """
 
@@ -16,7 +17,7 @@ import sys
 
 from .discretize import DEFAULT_MAX_INTERVALS, IntervalMap, discretize_columns
 from .discretize import chimerge  # not called here; perfbench/tracer.py rebinds it by name
-from .errors import DataError
+from .errors import DataError, UsageError
 from .evaluate import CLASSIFIERS, compare
 from .jsonout import canonical
 from .partition import consistency
@@ -75,16 +76,16 @@ def _numeric_flags(args) -> tuple[str, ...] | None:
         return None
     names = tuple(name.strip() for name in args.numeric_cols.split(",") if name.strip())
     if not names:
-        raise ValueError("--numeric-cols given but names no columns")
+        raise UsageError("--numeric-cols given but names no columns")
     return names
 
 
 def _read_columns(args) -> tuple[list[RawColumn], str, dict[str, IntervalMap]]:
     """Parse the input, then discretize its numeric columns."""
     if args.max_intervals < 1:
-        raise ValueError("max-intervals must be >= 1")
+        raise UsageError("max-intervals must be >= 1")
     if args.chi_threshold is not None and not args.chi_threshold >= 0:
-        raise ValueError("threshold must be non-negative")
+        raise UsageError("threshold must be non-negative")
     with open(args.input, "rb") as source:
         columns, decision = parse_columns(
             source,
@@ -98,7 +99,7 @@ def _read_columns(args) -> tuple[list[RawColumn], str, dict[str, IntervalMap]]:
             columns, decision, args.chi_threshold, args.max_intervals
         )
     except ImportError as exc:  # the default threshold needs scipy here
-        raise ValueError(f"{exc}; give --chi-threshold instead") from None
+        raise UsageError(f"{exc}; give --chi-threshold instead") from None
     return columns, decision, maps
 
 
@@ -111,7 +112,7 @@ def _resolve_seed(args) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+        raise UsageError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def _attr_list(attrs) -> str:
@@ -204,7 +205,7 @@ def cmd_discretize(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if args.folds < 2:
-        raise ValueError("folds must be >= 2")
+        raise UsageError("folds must be >= 2")
     seed = _resolve_seed(args)
     columns, decision, _ = _read_columns(args)
     table = from_columns(columns, decision)
@@ -256,15 +257,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (DataError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Error types raised while ingesting and validating input data."""
+"""Error types: bad input data, and arguments that cannot be used."""
 
 
 class DataError(Exception):
@@ -15,3 +15,10 @@ class SchemaError(DataError):
 
 class ValidationError(DataError):
     """Well-formed input containing unacceptable cell values."""
+
+
+class UsageError(ValueError):
+    """An argument or flag value that cannot be used, whatever the data.
+
+    The CLI exits 2 for it and 1 for every other error it reports.
+    """

@@ -4,8 +4,11 @@ Folds are stratified: objects are shuffled within each decision class by
 a seeded PRNG and dealt round-robin onto the folds, with the dealing
 position carried across classes.  That keeps both the fold sizes and
 each class's spread over folds within one object of even.  Two small
-deterministic classifiers are built in; accuracy deltas between the full
-table and a projection are computed on identical fold assignments.
+deterministic classifiers are built in: naive Bayes, whose ties go to the
+lowest class code, and 1-NN under Hamming distance on per-value row
+bitsets, whose ties go to the earliest training row.  Accuracy deltas
+between the full table and a projection are computed on identical fold
+assignments.
 """
 
 from __future__ import annotations
@@ -14,11 +17,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from operator import ne
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
-from .table import DecisionTable, project, subset
+from .table import DecisionTable, project
 
 
 @dataclass(frozen=True)
@@ -104,17 +106,19 @@ class NBModel:
     total: int
 
 
-def nb_train(train: DecisionTable) -> NBModel:
-    """Count class and per-attribute value frequencies on the training rows."""
-    decisions = train.column(train.decision_attr)
+def nb_train(table: DecisionTable, rows: Sequence[int]) -> NBModel:
+    """Count class and per-attribute value frequencies on the given rows."""
+    decision = table.column(table.decision_attr)
+    decisions = [decision[i] for i in rows]
     class_counts = Counter(decisions)
     classes = tuple(sorted(class_counts))
+    columns = (table.column(a) for a in table.condition_attrs)
     return NBModel(
         classes,
         tuple(class_counts[c] for c in classes),
-        tuple(Counter(zip(train.column(a), decisions)) for a in train.condition_attrs),
-        tuple(len(train.domains[a]) for a in train.condition_attrs),
-        train.m,
+        tuple(Counter(zip([column[i] for i in rows], decisions)) for column in columns),
+        tuple(len(table.domains[a]) for a in table.condition_attrs),
+        len(rows),
     )
 
 
@@ -139,51 +143,92 @@ def nb_predict(model: NBModel, values: Sequence[int]) -> int:
     return best_cls
 
 
-def onenn_predict(train: DecisionTable, values: Sequence[int]) -> int:
-    """Decision of the nearest training row by Hamming distance.
+def _bitsets(codes: Sequence[int], size: int) -> tuple[int, ...]:
+    """For each code below ``size``, the positions holding it in ``codes``
+    as the set bits of one int."""
+    buffers = [bytearray((len(codes) + 7) >> 3) for _ in range(size)]
+    for i, code in enumerate(codes):
+        buffers[code][i >> 3] |= 1 << (i & 7)
+    return tuple(int.from_bytes(buffer, "little") for buffer in buffers)
 
-    Distance ties go to the earliest training row.
+
+def row_masks(table: DecisionTable) -> tuple[tuple[int, ...], ...]:
+    """Per condition attribute, per code: the rows holding that code.
+
+    Bit i of ``row_masks(table)[a][code]`` is set when row i holds
+    ``code`` in the a-th condition attribute.  That is rows x (sum of the
+    domain sizes) bits in all.
     """
-    if len(values) != len(train.condition_attrs):
+    return tuple(_bitsets(table.column(a), len(table.domains[a])) for a in table.condition_attrs)
+
+
+def nearest_row(masks: Sequence[Sequence[int]], train: int, values: Sequence[int]) -> int:
+    """Index of the training row nearest to ``values`` by Hamming distance.
+
+    ``masks`` are the table's ``row_masks`` and bit i of ``train`` is set
+    when row i is a training row.  Every row's count of matching
+    attributes is summed bit-sliced: bit i of ``planes[p]`` is bit p of
+    row i's count.  Walking the planes from the highest down keeps the
+    training rows with the most matches, i.e. the smallest distance, and
+    of those the lowest set bit is the earliest row in table order.
+    """
+    if len(values) != len(masks):
         raise ValueError("value count does not match training attributes")
-    rows = zip(*(train.column(a) for a in train.condition_attrs))
-    best_cls = None
-    best_dist = len(values) + 1
-    for cls, row in zip(train.column(train.decision_attr), rows):
-        dist = sum(map(ne, row, values))
-        if dist < best_dist:
-            best_cls, best_dist = cls, dist
-    return best_cls
+    if not train:
+        raise ValueError("no training rows")
+    planes: list[int] = []
+    for codes, value in zip(masks, values):
+        carry = codes[value]
+        for p, plane in enumerate(planes):
+            planes[p] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    best = train
+    for plane in reversed(planes):
+        kept = best & plane
+        if kept:
+            best = kept
+    return (best & -best).bit_length() - 1
 
 
-def _fit_nb(train: DecisionTable) -> Callable[[Sequence[int]], int]:
-    model = nb_train(train)
-    return lambda values: nb_predict(model, values)
-
-
-def _fit_1nn(train: DecisionTable) -> Callable[[Sequence[int]], int]:
-    return lambda values: onenn_predict(train, values)
-
-
-CLASSIFIERS: dict[str, Callable[[DecisionTable], Callable[[Sequence[int]], int]]] = {
-    "nb": _fit_nb,
-    "1nn": _fit_1nn,
-}
+CLASSIFIERS = ("nb", "1nn")
 
 
 def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> EvalReport:
-    """Per-fold accuracies of one classifier under a fixed fold plan."""
-    try:
-        fit = CLASSIFIERS[classifier]
-    except KeyError:
-        raise ValueError(f"unknown classifier {classifier!r}") from None
+    """Per-fold accuracies of one classifier under a fixed fold plan.
+
+    Each fold's classifier sees only the rows outside the fold.  ``nb``
+    counts them by index; ``1nn`` takes them as one bitset over the
+    table's ``row_masks``, built once.
+    """
+    if classifier not in CLASSIFIERS:
+        raise ValueError(f"unknown classifier {classifier!r}")
+    if len(plan.assignments) != table.m:
+        raise ValueError(
+            f"fold plan covers {len(plan.assignments)} objects, the table has {table.m}"
+        )
     rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
     decisions = table.column(table.decision_attr)
+    if classifier == "1nn":
+        masks = row_masks(table)
+        in_fold = _bitsets(plan.assignments, plan.k)
+        everyone = (1 << table.m) - 1
     accuracies = []
     for fold in range(plan.k):
         train_rows, test_rows = plan.fold_rows(fold)
-        predict = fit(subset(table, train_rows))
-        correct = sum(predict(rows[i]) == decisions[i] for i in test_rows)
+        if not train_rows or not test_rows:
+            raise ValueError(f"fold {fold} leaves no training or no test rows")
+        if classifier == "nb":
+            model = nb_train(table, train_rows)
+            predicted = [nb_predict(model, rows[i]) for i in test_rows]
+        else:
+            train = everyone ^ in_fold[fold]
+            predicted = [decisions[nearest_row(masks, train, rows[i])] for i in test_rows]
+        correct = sum(p == decisions[i] for p, i in zip(predicted, test_rows))
         accuracies.append(correct / len(test_rows))
     mean = sum(accuracies) / len(accuracies)
     return EvalReport(classifier, table.condition_attrs, tuple(accuracies), mean)

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ParseError, SchemaError, UsageError, ValidationError
 
 MISSING_TOKENS = frozenset({"", "?"})
 
@@ -187,10 +187,11 @@ def parse_columns(
     Returns the columns plus the decision column name (default: last
     column).  The decision column is always categorical; see the module
     docstring for how condition columns are typed.  A leading byte-order
-    mark is skipped.
+    mark is skipped.  A delimiter or column name that cannot apply raises
+    ``UsageError``.
     """
     if len(delimiter) != 1 or delimiter in '"\r\n':
-        raise ValueError(
+        raise UsageError(
             f"delimiter must be a single character other than a quote or line break,"
             f" got {delimiter!r}"
         )
@@ -200,13 +201,13 @@ def parse_columns(
 
     decision = header[-1] if decision_col is None else decision_col
     if decision not in header:
-        raise ValueError(f"decision column {decision!r} not in header")
+        raise UsageError(f"decision column {decision!r} not in header")
     flagged = set(numeric_cols or ())
     unknown = flagged - set(header)
     if unknown:
-        raise ValueError(f"numeric column {sorted(unknown)[0]!r} not in header")
+        raise UsageError(f"numeric column {sorted(unknown)[0]!r} not in header")
     if decision in flagged:
-        raise ValueError(f"decision column {decision!r} cannot be numeric")
+        raise UsageError(f"decision column {decision!r} cannot be numeric")
 
     columns: list[RawColumn] = []
     for pos, name in enumerate(header):
@@ -282,13 +283,3 @@ def project(table: DecisionTable, attrs: Iterable[str]) -> DecisionTable:
     domains = {a: table.domains[a] for a in names}
     return DecisionTable(table.object_ids, kept, table.decision_attr, codes, domains)
 
-
-def subset(table: DecisionTable, rows: Sequence[int]) -> DecisionTable:
-    """Row-subset of the table (same attributes, codes and domains)."""
-    if not rows:
-        raise ValueError("subset needs at least one row")
-    object_ids = tuple(table.object_ids[i] for i in rows)
-    codes = {a: tuple(column[i] for i in rows) for a, column in table.codes.items()}
-    return DecisionTable(
-        object_ids, table.condition_attrs, table.decision_attr, codes, dict(table.domains)
-    )

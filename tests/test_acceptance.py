@@ -381,7 +381,7 @@ def test_evaluation_harness(admissions, random_tables):
         RawColumn("d", "categorical", ("yes", "yes", "no", "no", "no")),
     ]
     tiny = from_columns(columns, "d")
-    model = nb_train(tiny)
+    model = nb_train(tiny, range(tiny.m))
 
     def posterior(cls, query):
         decision = tiny.column("d")

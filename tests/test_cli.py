@@ -479,6 +479,17 @@ class TestEvaluate:
         assert code == 2
         assert "j48" in err
 
+    def test_library_value_error_exits_one(self, monkeypatch):
+        """Only a bad flag exits 2; a ValueError that library code raises
+        under valid flags is reported and exits 1."""
+        def fail(*args, **kwargs):
+            raise ValueError("fold 0 leaves no training or no test rows")
+
+        monkeypatch.setattr("rredux.cli.compare", fail)
+        code, out, err = run_cli("evaluate", "--input", ADMISSIONS, "--folds", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: fold 0 leaves no training or no test rows\n"
+
     def test_fewer_rows_than_folds_exits_one(self, tmp_path):
         src = tmp_path / "one_row.csv"
         src.write_text("a,d\nu,A\n")

@@ -12,8 +12,8 @@ from rredux import (
     from_columns,
     stratified_folds,
 )
-from rredux.evaluate import FoldPlan, nb_predict, nb_train, onenn_predict
-from rredux.table import project, subset
+from rredux.evaluate import FoldPlan, nb_predict, nb_train, nearest_row, row_masks
+from rredux.table import project
 from rredux.jsonout import canonical
 from conftest import make_random_table
 
@@ -91,6 +91,12 @@ def condition_rows(table):
     return list(zip(*(table.column(a) for a in table.condition_attrs)))
 
 
+def onenn(table, train_rows, values):
+    """The decision code 1-NN gives ``values`` from ``train_rows`` of ``table``."""
+    train = sum(1 << i for i in train_rows)
+    return table.column(table.decision_attr)[nearest_row(row_masks(table), train, values)]
+
+
 def tiny_table(a_cells, d_cells):
     return from_columns(
         [RawColumn("a", "categorical", tuple(a_cells)),
@@ -102,14 +108,14 @@ def tiny_table(a_cells, d_cells):
 class TestNaiveBayes:
     def test_hand_posterior(self):
         train = tiny_table(("0", "0", "1", "1"), ("c0", "c0", "c1", "c1"))
-        model = nb_train(train)
+        model = nb_train(train, range(train.m))
         # alpha=1: P(a=0|c0) = 3/4 vs P(a=0|c1) = 1/4, equal priors
         assert nb_predict(model, (0,)) == 0
         assert nb_predict(model, (1,)) == 1
 
     def test_single_class_always_wins(self):
         train = tiny_table(("0", "1", "2"), ("only", "only", "only"))
-        model = nb_train(train)
+        model = nb_train(train, range(train.m))
         for value in range(3):
             assert nb_predict(model, (value,)) == 0
 
@@ -119,17 +125,16 @@ class TestNaiveBayes:
             RawColumn("d", "categorical", ("y", "y", "n", "n", "n")),
         ]
         full = from_columns(cols, "d")
-        train = subset(full, [0, 1, 2, 3])  # value "2" never seen in training
-        model = nb_train(train)
+        model = nb_train(full, [0, 1, 2, 3])  # value "2" never seen in training
         assert nb_predict(model, (2,)) in (0, 1)
 
     def test_tie_breaks_to_lowest_class_code(self):
         train = tiny_table(("0", "0"), ("first", "second"))
-        model = nb_train(train)
+        model = nb_train(train, range(train.m))
         assert nb_predict(model, (0,)) == 0
 
     def test_wrong_arity(self):
-        model = nb_train(tiny_table(("0",), ("y",)))
+        model = nb_train(tiny_table(("0",), ("y",)), [0])
         with pytest.raises(ValueError):
             nb_predict(model, (0, 0))
 
@@ -139,29 +144,27 @@ class TestOneNearestNeighbour:
         rows = condition_rows(admissions)
         decision = admissions.column("Decision")
         for i in range(admissions.m):
-            train = subset(admissions, [i])
-            assert onenn_predict(train, rows[i]) == decision[i]
+            assert onenn(admissions, [i], rows[i]) == decision[i]
 
     def test_sample_query(self, admissions):
         # x5 = (MSc, Medium, Yes, Neutral); nearest of the rest is x4 at
         # distance 1, decision Accept
-        train = subset(admissions, [0, 1, 2, 3, 5, 6, 7])
-        predicted = onenn_predict(train, condition_rows(admissions)[4])
+        predicted = onenn(admissions, [0, 1, 2, 3, 5, 6, 7], condition_rows(admissions)[4])
         assert admissions.domains["Decision"][predicted] == "Accept"
 
     def test_identical_training_rows(self):
-        train = tiny_table(("0", "0", "0"), ("y", "y", "y"))
-        assert onenn_predict(train, (1,)) == 0
+        # the held-out fourth row gives the query value 1 a code
+        table = tiny_table(("0", "0", "0", "1"), ("y", "y", "y", "n"))
+        assert onenn(table, [0, 1, 2], (1,)) == 0
 
     def test_distance_tie_keeps_earliest_row(self):
         # query "2" is at distance 1 from both training rows
         table = tiny_table(("0", "1", "2"), ("first", "second", "first"))
-        train = subset(table, [0, 1])
-        assert train.domains["d"][onenn_predict(train, (2,))] == "first"
+        assert table.domains["d"][onenn(table, [0, 1], (2,))] == "first"
 
     def test_wrong_arity(self, admissions):
         with pytest.raises(ValueError):
-            onenn_predict(admissions, (0,))
+            onenn(admissions, range(admissions.m), (0,))
 
 
 class TestCrossValidateAndCompare:
@@ -221,6 +224,14 @@ class TestCrossValidateAndCompare:
         reduced_direct = cross_validate(project(admissions, ("e", "r")), plan, "1nn")
         _, reduced_via_compare = compare(admissions, ("e", "r"), 2, 13, "1nn")
         assert reduced_direct.fold_accuracies == reduced_via_compare.fold_accuracies
+
+    def test_plan_must_fit_the_table(self, admissions):
+        for classifier in ("nb", "1nn"):
+            with pytest.raises(ValueError, match="covers 7 objects, the table has 8"):
+                cross_validate(admissions, FoldPlan(2, 0, (0, 1) * 3 + (0,)), classifier)
+            # every object in fold 0: fold 0 trains on nothing, fold 1 tests nothing
+            with pytest.raises(ValueError, match="fold 0 leaves no training"):
+                cross_validate(admissions, FoldPlan(2, 0, (0,) * 8), classifier)
 
     def test_empty_reduct_rejected(self, admissions):
         with pytest.raises(ValueError):

@@ -6,8 +6,7 @@ from collections import Counter
 
 import row_oracle
 from rredux import RawColumn, cross_validate, from_columns, stratified_folds
-from rredux.evaluate import CLASSIFIERS, nb_train
-from rredux.table import subset
+from rredux.evaluate import CLASSIFIERS, nb_predict, nb_train, nearest_row, row_masks
 
 TABLES = 240
 
@@ -40,11 +39,14 @@ def oracle_predictions(rows, domain_sizes, train, test):
 
 def table_predictions(table, train, test):
     rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
-    out = {}
-    for name, fit in CLASSIFIERS.items():
-        predict = fit(subset(table, train))
-        out[name] = [predict(rows[i]) for i in test]
-    return out
+    decisions = table.column(table.decision_attr)
+    model = nb_train(table, train)
+    masks = row_masks(table)
+    train_bits = sum(1 << i for i in train)
+    return {
+        "nb": [nb_predict(model, rows[i]) for i in test],
+        "1nn": [decisions[nearest_row(masks, train_bits, rows[i])] for i in test],
+    }
 
 
 def test_columns_and_classifiers_match_row_oracle():
@@ -60,7 +62,7 @@ def test_columns_and_classifiers_match_row_oracle():
         assert tuple(zip(*(table.column(a) for a in names))) == rows
 
         sizes = [len(domains[a]) for a in condition]
-        assert nb_train(table) == row_oracle.nb_train(rows, sizes)
+        assert nb_train(table, range(table.m)) == row_oracle.nb_train(rows, sizes)
         # train on every row and predict every row: the only split of one row
         everything = range(table.m)
         assert table_predictions(table, everything, everything) == oracle_predictions(

@@ -12,8 +12,9 @@ from rredux import (
     from_columns,
     parse_columns,
 )
-from rredux.table import project, subset
+from rredux.table import project
 from conftest import make_random_table
+from onenn_oracle import subset
 
 
 def parse_columns_text(text: str, **kwargs):
