@@ -171,7 +171,7 @@ def _render_trace(trace: dict) -> list[str]:
 
 def cmd_reduct(args) -> int:
     columns, decision, _ = _read_columns(args)
-    result = run_pipeline(from_columns(columns, decision))
+    result = run_pipeline(from_columns(columns, decision), trace=args.trace)
     if args.output == "json":
         payload = {"reduct": list(result.reduct), "isolated": list(result.isolated)}
         if args.trace:
@@ -209,7 +209,7 @@ def cmd_evaluate(args) -> int:
     seed = _resolve_seed(args)
     columns, decision, _ = _read_columns(args)
     table = from_columns(columns, decision)
-    result = run_pipeline(table)
+    result = run_pipeline(table, trace=args.trace)
     full, reduced = compare(table, result.reduct, args.folds, seed, args.classifier)
     sets = {
         "full": (full, consistency(table)),

@@ -23,6 +23,7 @@ Each stage takes the :class:`SimilaritySet` the stage before it returns;
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import similarity
 from .partition import blocks, decision_blocks
@@ -87,7 +88,8 @@ def select_pairs(mat: SimilarityMatrix) -> SimilaritySet:
                 elements.append(SimilarityElement(attrs[i], (attrs[j],), mat.values[i][j]))
             else:
                 elements.append(SimilarityElement(attrs[j], (attrs[i],), mat.values[j][i]))
-    avg = sum(el.factor for el in elements) / len(elements) if elements else None
+    exact = sum(Fraction(el.factor) for el in elements)  # rounded once, so ties stay ties
+    avg = float(exact / len(elements)) if elements else None
     return SimilaritySet(tuple(elements), avg)
 
 
@@ -175,13 +177,14 @@ def _blocks_json(table: DecisionTable, blks) -> list[list[str]]:
     return [[table.object_ids[i] for i in block] for block in blks]
 
 
-def run_pipeline(table: DecisionTable) -> ReductResult:
+def run_pipeline(table: DecisionTable, trace: bool = False) -> ReductResult:
     """Full run: similarity matrix, selection, compounding, reduction.
 
-    The trace records the decision partition, the plain and
-    decision-refined partition of every condition attribute, every
-    pairwise factor in row-major order, each similarity-set stage, the
-    per-iteration selections and deletions, and the final reduct.
+    The trace records every pairwise factor in row-major order, each
+    similarity-set stage, the per-iteration selections and deletions, and
+    the final reduct.  ``trace=True`` adds ``partitions``: the decision
+    partition and the plain and decision-refined partition of every
+    condition attribute, as object ids.
     """
     mat = similarity.matrix(table)
     selected = select_pairs(mat)
@@ -189,26 +192,22 @@ def run_pipeline(table: DecisionTable) -> ReductResult:
     compound = comp_sim(filtered)
     result = sin_red_gen(compound, table.condition_attrs)
 
-    delta = [
-        {"source": a, "target": b, "factor": mat.factor(a, b)}
-        for a in mat.attrs
-        for b in mat.attrs
-        if a != b
-    ]
-    trace = {
-        "partitions": {
-            "decision": _blocks_json(table, decision_blocks(table)),
-            "plain": {
-                a: _blocks_json(table, blocks(table, [a])) for a in mat.attrs
-            },
-            "relative": {
-                a: _blocks_json(table, mat.relative[a]) for a in mat.attrs
-            },
-        },
-        "delta": delta,
+    record = {
+        "delta": [
+            {"source": a, "target": b, "factor": mat.factor(a, b)}
+            for a in mat.attrs
+            for b in mat.attrs
+            if a != b
+        ],
         "ass_selected": [_element_json(el) for el in selected.elements],
         "avg_factor": selected.avg_factor,
         "ass_filtered": [_element_json(el) for el in filtered.elements],
+        **result.trace,
     }
-    trace.update(result.trace)
-    return replace(result, trace=trace)
+    if trace:
+        record["partitions"] = {
+            "decision": _blocks_json(table, decision_blocks(table)),
+            "plain": {a: _blocks_json(table, blocks(table, [a])) for a in mat.attrs},
+            "relative": {a: _blocks_json(table, mat.relative[a]) for a in mat.attrs},
+        }
+    return replace(result, trace=record)

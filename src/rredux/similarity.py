@@ -15,8 +15,9 @@ once and reads both directions from that count.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .partition import relative_blocks
@@ -30,14 +31,22 @@ class SimilarityMatrix:
     """All pairwise similarity factors over a table's condition attributes.
 
     ``values[i][j]`` is the factor of ``attrs[i]`` toward ``attrs[j]``;
-    the diagonal is fixed at 1.0.  ``relative`` keeps the per-attribute
-    decision-refined partitions, whose blocks are the cells the factors
-    average over.
+    the diagonal is fixed at 1.0.  ``table``, if given, is the table the
+    factors were counted on; it takes no part in comparison or repr.
     """
 
     attrs: tuple[str, ...]
-    relative: dict[str, Blocks]
     values: tuple[tuple[float, ...], ...]
+    table: DecisionTable | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def relative(self) -> dict[str, Blocks]:
+        """Each attribute's decision-refined partition, built on first use for
+        the full trace and ``perfbench/tracer.py`` only (until ROADMAP item 4),
+        through this module's global ``relative_blocks``, which the tracer rebinds."""
+        if self.table is None:
+            raise ValueError("relative partitions need the matrix's table")
+        return {a: relative_blocks(self.table, a) for a in self.attrs}
 
     def index(self, attr: str) -> int:
         try:
@@ -64,7 +73,6 @@ def _mean_share(best: dict, sizes: Counter) -> float:
 def matrix(table: DecisionTable) -> SimilarityMatrix:
     """Pairwise similarity factors from one joint count per attribute pair."""
     attrs = table.condition_attrs
-    relative = {a: relative_blocks(table, a) for a in attrs}
     decision = table.column(table.decision_attr)
     columns = [table.column(a) for a in attrs]
     sizes = [Counter(zip(column, decision)) for column in columns]  # count(a, d)
@@ -78,4 +86,4 @@ def matrix(table: DecisionTable) -> SimilarityMatrix:
                 best_j[b, d] = n
         values[i][j] = _mean_share(best_i, sizes[i])
         values[j][i] = _mean_share(best_j, sizes[j])
-    return SimilarityMatrix(attrs, relative, tuple(map(tuple, values)))
+    return SimilarityMatrix(attrs, tuple(map(tuple, values)), table)

@@ -22,6 +22,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import BinaryIO, Iterable, Sequence
 
 from .errors import ParseError, SchemaError, UsageError, ValidationError
@@ -118,7 +119,8 @@ def _records(reader):
         raise ParseError(f"row {reader.line_num}: {exc}") from None
 
 
-def _read_rows(text, delimiter: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def _read_rows(text, delimiter: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """Header, non-blank data rows, and the physical line each row ends on."""
     reader = csv.reader(text, delimiter=delimiter)
     records = _records(reader)
     header = next(records, None)
@@ -129,7 +131,7 @@ def _read_rows(text, delimiter: str) -> tuple[list[str], list[tuple[int, list[st
         if name in seen:
             raise SchemaError(f"duplicate column name {name!r} in header")
         seen.add(name)
-    rows = []
+    rows, lines = [], []
     for row in records:
         if not row:
             continue  # blank line
@@ -137,15 +139,16 @@ def _read_rows(text, delimiter: str) -> tuple[list[str], list[tuple[int, list[st
             raise ParseError(
                 f"row {reader.line_num}: expected {len(header)} cells, got {len(row)}"
             )
-        rows.append((reader.line_num, row))
+        rows.append(row)
+        lines.append(reader.line_num)
     if not rows:
         raise SchemaError("no data rows after header")
-    return header, rows
+    return header, rows, lines
 
 
-def _apply_missing_policy(header, rows, drop_missing: bool):
+def _apply_missing_policy(header, rows, lines, drop_missing: bool):
     kept = []
-    for line_num, row in rows:
+    for line_num, row in zip(lines, rows):
         missing = [name for name, cell in zip(header, row) if cell in MISSING_TOKENS]
         if not missing:
             kept.append(row)
@@ -196,8 +199,11 @@ def parse_columns(
             f" got {delimiter!r}"
         )
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    header, numbered = _read_rows(text, delimiter)
-    rows = _apply_missing_policy(header, numbered, drop_missing)
+    header, rows, lines = _read_rows(text, delimiter)
+    cols = list(zip(*rows))  # one tuple of cells per header column
+    if not all(MISSING_TOKENS.isdisjoint(cells) for cells in cols):
+        rows = _apply_missing_policy(header, rows, lines, drop_missing)
+        cols = list(zip(*rows))
 
     decision = header[-1] if decision_col is None else decision_col
     if decision not in header:
@@ -210,17 +216,11 @@ def parse_columns(
         raise UsageError(f"decision column {decision!r} cannot be numeric")
 
     columns: list[RawColumn] = []
-    for pos, name in enumerate(header):
-        cells = [row[pos] for row in rows]
+    for name, cells in zip(header, cols):
         if name == decision:
-            columns.append(RawColumn(name, CATEGORICAL, tuple(cells)))
+            columns.append(RawColumn(name, CATEGORICAL, cells))
             continue
-        parsed = []
-        for cell in cells:
-            value = _parse_finite(cell)
-            if value is None:
-                break
-            parsed.append(value)
+        parsed = list(takewhile(lambda v: v is not None, map(_parse_finite, cells)))
         all_number = len(parsed) == len(cells)
         if name in flagged:
             if not all_number:
@@ -234,7 +234,7 @@ def parse_columns(
         if numeric:
             columns.append(RawColumn(name, NUMERIC, tuple(parsed)))
         else:
-            columns.append(RawColumn(name, CATEGORICAL, tuple(cells)))
+            columns.append(RawColumn(name, CATEGORICAL, cells))
     return columns, decision
 
 
@@ -258,8 +258,8 @@ def from_columns(columns: Sequence[RawColumn], decision_attr: str) -> DecisionTa
     domains: dict[str, tuple[str, ...]] = {}
     codes: dict[str, tuple[int, ...]] = {}
     for col in ordered:
-        index: dict[str, int] = {}
-        codes[col.name] = tuple(index.setdefault(cell, len(index)) for cell in col.cells)
+        index = {cell: k for k, cell in enumerate(dict.fromkeys(col.cells))}
+        codes[col.name] = tuple(map(index.__getitem__, col.cells))
         domains[col.name] = tuple(index)
     object_ids = tuple(f"x{i + 1}" for i in range(len(ordered[0].cells)))
     return DecisionTable(object_ids, condition, decision_attr, codes, domains)

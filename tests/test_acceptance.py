@@ -144,7 +144,7 @@ def _stage_failures(mat, label, want_selected, avg_ok, want_filtered,
 def test_end_to_end_reference_figures(admissions):
     failures = []
     start = time.perf_counter()
-    result = run_pipeline(admissions)
+    result = run_pipeline(admissions, trace=True)
     elapsed = time.perf_counter() - start
     trace = result.trace
 
@@ -172,7 +172,8 @@ def test_end_to_end_reference_figures(admissions):
 
     failures += _stage_failures(
         mat, "reference", REFERENCE_SELECTED,
-        # A float mean of float factors, so it may sit an ulp off the exact mean.
+        # The exact mean of the float factors, rounded once; the factors are
+        # rounded themselves, so it may sit an ulp off the exact mean.
         lambda avg: isclose(avg, REFERENCE_AVG, rel_tol=1e-12),
         REFERENCE_FILTERED, REFERENCE_COMPOUND, REFERENCE_REDUCT,
     )
@@ -182,7 +183,7 @@ def test_end_to_end_reference_figures(admissions):
         failures.append(f"pipeline isolated: got {sorted(result.isolated)}")
 
     attrs = admissions.condition_attrs
-    paper = SimilarityMatrix(attrs, {}, tuple(
+    paper = SimilarityMatrix(attrs, tuple(
         tuple(1.0 if a == b else PAPER_DELTA[a, b] for b in attrs)
         for a in attrs
     ))

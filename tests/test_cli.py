@@ -271,6 +271,32 @@ class TestReduct:
         assert "Traceback" not in err
 
 
+class TestUntraced:
+    @pytest.fixture
+    def no_partitions(self, monkeypatch):
+        """Every partition builder the pipeline can reach raises."""
+        import rredux.reduct
+        import rredux.similarity
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("partition built for a run without --trace")
+
+        monkeypatch.setattr(rredux.reduct, "blocks", refuse)
+        monkeypatch.setattr(rredux.reduct, "decision_blocks", refuse)
+        monkeypatch.setattr(rredux.similarity, "relative_blocks", refuse)
+
+    @pytest.mark.parametrize("command", ["reduct", "evaluate"])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_untraced_run_builds_no_partition(self, no_partitions, command, output):
+        code, out, err = run_cli(command, "--input", ADMISSIONS, "--output", output)
+        assert (code, err) == (0, "")
+        assert "partitions" not in out
+
+    def test_traced_run_builds_partitions(self, no_partitions):
+        with pytest.raises(AssertionError, match="without --trace"):
+            run_cli("reduct", "--input", ADMISSIONS, "--trace")
+
+
 class TestDiscretize:
     def test_golden_two_cluster_column(self, tmp_path):
         src = tmp_path / "nums.csv"

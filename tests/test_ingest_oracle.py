@@ -1,0 +1,51 @@
+"""Column-at-a-time ingestion against the row-at-a-time oracle in
+``tests/ingest_oracle.py``: the same columns or the same error, and the
+same codes and domains."""
+
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+import ingest_oracle
+from rredux.discretize import discretize_columns
+from rredux.table import from_columns, parse_columns
+from test_properties import csv_texts
+
+
+def outcome(fn, *args, **kwargs):
+    """``(result, None)``, or ``(None, (type, message))`` of what ``fn`` raised."""
+    try:
+        return fn(*args, **kwargs), None
+    except Exception as exc:  # any exception is part of the outcome
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=csv_texts(), drop_missing=st.booleans())
+@example(text='a,b,d\nx,y,z\n\n"p\nq",?,z\nx,,w\nu,v,w\n', drop_missing=False)
+@example(text='a,b,d\nx,y,z\n\n"p\nq",?,z\nx,,w\nu,v,w\n', drop_missing=True)
+@example(text="a,b,d\n?,y,z\n,,\n", drop_missing=True)
+def test_ingestion_matches_oracle(text, drop_missing):
+    def parsed(parse):
+        return outcome(parse, io.BytesIO(text.encode("utf-8")), drop_missing=drop_missing)
+
+    got, want = parsed(parse_columns), parsed(ingest_oracle.parse_columns)
+    assert got == want
+    parsed_ok, _ = want
+    if parsed_ok is None:
+        return
+    columns, decision = parsed_ok
+    discretized, raised = outcome(discretize_columns, columns, decision)
+    if raised:
+        return
+    columns, _ = discretized
+    got = outcome(from_columns, columns, decision)
+    want = outcome(ingest_oracle.from_columns, columns, decision)
+    assert got == want
+    table, oracle_table = got[0], want[0]
+    if oracle_table is not None:
+        assert (table.codes, table.domains) == (oracle_table.codes, oracle_table.domains)

@@ -35,7 +35,7 @@ def twin_column_table():
 
 def hand_matrix(attrs, values):
     return SimilarityMatrix(
-        attrs, {}, tuple(tuple(float(v) for v in row) for row in values)
+        attrs, tuple(tuple(float(v) for v in row) for row in values)
     )
 
 
@@ -83,6 +83,18 @@ class TestAssGen:
             ((1.0, 0.6, 0.6), (0.6, 1.0, 0.6), (0.6, 0.6, 1.0)),
         )
         assert ass_gen(mat).elements == ()
+
+    def test_factor_equal_to_exact_mean_dropped(self):
+        # selected 1/6, 1/8, 1/12: the exact mean is 1/8, while a float
+        # running sum in this order lands one ulp below it
+        mat = hand_matrix(
+            ("a", "b", "c"),
+            ((1, 1 / 6, 1 / 8), (1 / 24, 1, 1 / 12), (1 / 24, 1 / 24, 1)),
+        )
+        selected = select_pairs(mat)
+        assert [el.factor for el in selected.elements] == [1 / 6, 1 / 8, 1 / 12]
+        assert selected.avg_factor == 0.125
+        assert edge_view(ass_gen(mat).elements) == [("a", ("b",), 1 / 6)]
 
     def test_single_attribute_degenerates_to_empty(self):
         assert ass_gen(hand_matrix(("a",), ((1.0,),))).elements == ()
@@ -197,7 +209,7 @@ class TestSinRedGen:
 
 class TestRunPipeline:
     def test_sample_table(self, admissions):
-        result = run_pipeline(admissions)
+        result = run_pipeline(admissions, trace=True)
         assert result.reduct == ("r", "i", "e")
         assert result.isolated == ("i", "e")
         trace = result.trace
@@ -215,6 +227,18 @@ class TestRunPipeline:
         assert trace["reduct"] == ["r", "i", "e"]
         assert trace["isolated"] == ["i", "e"]
         assert set(trace["partitions"]) == {"decision", "plain", "relative"}
+
+    def test_untraced_trace_is_full_trace_minus_partitions(self, admissions):
+        rng = random.Random(41)
+        for table in [admissions] + [make_random_table(rng) for _ in range(50)]:
+            full = run_pipeline(table, trace=True)
+            untraced = run_pipeline(table)
+            assert "partitions" in full.trace
+            assert untraced.trace == {
+                key: value for key, value in full.trace.items() if key != "partitions"
+            }
+            assert untraced.reduct == full.reduct
+            assert untraced.isolated == full.isolated
 
     def test_twin_columns_drop_one_twin(self):
         table = twin_column_table()

@@ -70,6 +70,26 @@ class TestParseCsv:
         with pytest.raises(ValidationError, match="row 2"):
             parse_text("a,b,d\nx,,z\n")
 
+    # each error is on physical line 4, whether a blank line or a quoted
+    # field spanning two lines comes before it or the row itself spans two
+    @pytest.mark.parametrize("text", [
+        "a,b,d\nx,y,z\n\nx,,z\n",
+        'a,b,d\n"x\nw",y,z\nx,,z\n',
+        'a,b,d\nx,y,z\n"x\nw",,z\n',
+    ], ids=["blank-line", "after-multiline", "multiline-row"])
+    def test_missing_value_names_physical_line(self, text):
+        with pytest.raises(ValidationError, match="row 4, column 'b'"):
+            parse_text(text)
+
+    @pytest.mark.parametrize("text", [
+        "a,b,d\nx,y,z\n\nx,z\n",
+        'a,b,d\n"x\nw",y,z\nx,z\n',
+        'a,b,d\nx,y,z\n"x\nw",z\n',
+    ], ids=["blank-line", "after-multiline", "multiline-row"])
+    def test_short_row_names_physical_line(self, text):
+        with pytest.raises(ParseError, match="row 4: expected 3 cells, got 2"):
+            parse_text(text)
+
     def test_drop_missing_drops_rows(self):
         table = parse_text("a,d\nu,yes\n?,no\nv,no\n", drop_missing=True)
         assert table.m == 2
