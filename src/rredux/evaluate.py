@@ -5,10 +5,10 @@ a seeded PRNG and dealt round-robin onto the folds, with the dealing
 position carried across classes.  That keeps both the fold sizes and
 each class's spread over folds within one object of even.  Two small
 deterministic classifiers are built in: naive Bayes, whose ties go to the
-lowest class code, and 1-NN under Hamming distance on per-value row
-bitsets, whose ties go to the earliest training row.  Accuracy deltas
-between the full table and a projection are computed on identical fold
-assignments.
+lowest class code, and 1-NN under Hamming distance on the table's
+per-value row masks (``table.row_masks``), whose ties go to the earliest
+training row.  Accuracy deltas between the full table and a projection
+are computed on identical fold assignments.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import ValidationError
-from .table import DecisionTable, project
+from .table import DecisionTable, bitsets, project, row_masks
 
 
 @dataclass(frozen=True)
@@ -143,30 +143,11 @@ def nb_predict(model: NBModel, values: Sequence[int]) -> int:
     return best_cls
 
 
-def _bitsets(codes: Sequence[int], size: int) -> tuple[int, ...]:
-    """For each code below ``size``, the positions holding it in ``codes``
-    as the set bits of one int."""
-    buffers = [bytearray((len(codes) + 7) >> 3) for _ in range(size)]
-    for i, code in enumerate(codes):
-        buffers[code][i >> 3] |= 1 << (i & 7)
-    return tuple(int.from_bytes(buffer, "little") for buffer in buffers)
-
-
-def row_masks(table: DecisionTable) -> tuple[tuple[int, ...], ...]:
-    """Per condition attribute, per code: the rows holding that code.
-
-    Bit i of ``row_masks(table)[a][code]`` is set when row i holds
-    ``code`` in the a-th condition attribute.  That is rows x (sum of the
-    domain sizes) bits in all.
-    """
-    return tuple(_bitsets(table.column(a), len(table.domains[a])) for a in table.condition_attrs)
-
-
 def nearest_row(masks: Sequence[Sequence[int]], train: int, values: Sequence[int]) -> int:
     """Index of the training row nearest to ``values`` by Hamming distance.
 
-    ``masks`` are the table's ``row_masks`` and bit i of ``train`` is set
-    when row i is a training row.  Every row's count of matching
+    ``masks`` are the table's ``table.row_masks`` and bit i of ``train`` is
+    set when row i is a training row.  Every row's count of matching
     attributes is summed bit-sliced: bit i of ``planes[p]`` is bit p of
     row i's count.  Walking the planes from the highest down keeps the
     training rows with the most matches, i.e. the smallest distance, and
@@ -203,7 +184,7 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
 
     Each fold's classifier sees only the rows outside the fold.  ``nb``
     counts them by index; ``1nn`` takes them as one bitset over the
-    table's ``row_masks``, built once.
+    table's ``table.row_masks``, built once.
     """
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {classifier!r}")
@@ -215,7 +196,7 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
     decisions = table.column(table.decision_attr)
     if classifier == "1nn":
         masks = row_masks(table)
-        in_fold = _bitsets(plan.assignments, plan.k)
+        in_fold = bitsets(plan.assignments, plan.k)
         everyone = (1 << table.m) - 1
     accuracies = []
     for fold in range(plan.k):

@@ -23,7 +23,6 @@ Each stage takes the :class:`SimilaritySet` the stage before it returns;
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import similarity
 from .partition import blocks, decision_blocks
@@ -88,8 +87,8 @@ def select_pairs(mat: SimilarityMatrix) -> SimilaritySet:
                 elements.append(SimilarityElement(attrs[i], (attrs[j],), mat.values[i][j]))
             else:
                 elements.append(SimilarityElement(attrs[j], (attrs[i],), mat.values[j][i]))
-    exact = sum(Fraction(el.factor) for el in elements)  # rounded once, so ties stay ties
-    avg = float(exact / len(elements)) if elements else None
+    ratios = [el.factor.as_integer_ratio() for el in elements]
+    avg = similarity.exact_mean(ratios) if ratios else None  # rounded once, so ties stay ties
     return SimilaritySet(tuple(elements), avg)
 
 
@@ -173,8 +172,8 @@ def _element_json(el: SimilarityElement) -> dict:
     return entry
 
 
-def _blocks_json(table: DecisionTable, blks) -> list[list[str]]:
-    return [[table.object_ids[i] for i in block] for block in blks]
+def _blocks_json(ids: list[str], blks) -> list[list[str]]:
+    return [[ids[i] for i in block] for block in blks]
 
 
 def run_pipeline(table: DecisionTable, trace: bool = False) -> ReductResult:
@@ -184,7 +183,7 @@ def run_pipeline(table: DecisionTable, trace: bool = False) -> ReductResult:
     similarity-set stage, the per-iteration selections and deletions, and
     the final reduct.  ``trace=True`` adds ``partitions``: the decision
     partition and the plain and decision-refined partition of every
-    condition attribute, as object ids.
+    condition attribute, as object ids ``x1`` .. ``xm``.
     """
     mat = similarity.matrix(table)
     selected = select_pairs(mat)
@@ -205,9 +204,10 @@ def run_pipeline(table: DecisionTable, trace: bool = False) -> ReductResult:
         **result.trace,
     }
     if trace:
+        ids = [f"x{i + 1}" for i in range(table.m)]
         record["partitions"] = {
-            "decision": _blocks_json(table, decision_blocks(table)),
-            "plain": {a: _blocks_json(table, blocks(table, [a])) for a in mat.attrs},
-            "relative": {a: _blocks_json(table, mat.relative[a]) for a in mat.attrs},
+            "decision": _blocks_json(ids, decision_blocks(table)),
+            "plain": {a: _blocks_json(ids, blocks(table, [a])) for a in mat.attrs},
+            "relative": {a: _blocks_json(ids, mat.relative[a]) for a in mat.attrs},
         }
     return replace(result, trace=record)

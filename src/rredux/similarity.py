@@ -9,16 +9,17 @@ mean contribution.  It is asymmetric, lies in (0, 1], and equals 1
 exactly when every block of A's partition fits inside one block of B's.
 
 ``matrix`` counts the (a, b, d) triples of each unordered attribute pair
-once and reads both directions from that count.
+once, reads both directions from that count and averages with ``exact_mean``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import Iterable
 
 from .partition import relative_blocks
 from .table import DecisionTable
@@ -42,8 +43,9 @@ class SimilarityMatrix:
     @cached_property
     def relative(self) -> dict[str, Blocks]:
         """Each attribute's decision-refined partition, built on first use for
-        the full trace and ``perfbench/tracer.py`` only (until ROADMAP item 4),
-        through this module's global ``relative_blocks``, which the tracer rebinds."""
+        the full trace and for ``perfbench/tracer.py``, until the tracer stops
+        reading it.  It is built through this module's global
+        ``relative_blocks``, which the tracer rebinds."""
         if self.table is None:
             raise ValueError("relative partitions need the matrix's table")
         return {a: relative_blocks(self.table, a) for a in self.attrs}
@@ -58,16 +60,16 @@ class SimilarityMatrix:
         return self.values[self.index(source)][self.index(target)]
 
 
-def _mean_share(best: dict, sizes: Counter) -> float:
-    """Mean of ``best[cell] / sizes[cell]`` over the cells, summed exactly.
-
-    The ratios are grouped by cell size, so 1.0 comes back iff every cell
-    keeps all of its objects.
-    """
-    by_size = Counter()  # cell size -> summed largest counts
-    for cell, size in sizes.items():
-        by_size[size] += best[cell]
-    return float(sum(Fraction(n, size) for size, n in by_size.items()) / len(sizes))
+def exact_mean(ratios: Iterable[tuple[int, int]]) -> float:
+    """Mean of n / s over the (n, s) integer pairs, s > 0, in integers over
+    the least common denominator and rounded once: the float nearest the
+    exact mean, so for shares n <= s it is 1.0 iff every n equals its s."""
+    sums, count = Counter(), 0  # denominator -> summed numerators
+    for n, s in ratios:
+        sums[s] += n
+        count += 1
+    common = math.lcm(*sums)
+    return sum(n * (common // s) for s, n in sums.items()) / (common * count)
 
 
 def matrix(table: DecisionTable) -> SimilarityMatrix:
@@ -84,6 +86,6 @@ def matrix(table: DecisionTable) -> SimilarityMatrix:
                 best_i[a, d] = n
             if n > best_j.get((b, d), 0):
                 best_j[b, d] = n
-        values[i][j] = _mean_share(best_i, sizes[i])
-        values[j][i] = _mean_share(best_j, sizes[j])
+        values[i][j] = exact_mean((best_i[c], n) for c, n in sizes[i].items())
+        values[j][i] = exact_mean((best_j[c], n) for c, n in sizes[j].items())
     return SimilarityMatrix(attrs, tuple(map(tuple, values)), table)

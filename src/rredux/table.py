@@ -63,23 +63,18 @@ class DecisionTable:
     ``codes[attr]`` holds one integer code per object, in object order,
     for every condition attribute and for the decision.  Codes index into
     ``domains[attr]``, the per-attribute label list in first-appearance
-    order.
+    order.  Objects are identified by position; where they are shown,
+    object i is named ``x{i+1}``.
     """
 
-    object_ids: tuple[str, ...]
     condition_attrs: tuple[str, ...]
     decision_attr: str
     codes: dict[str, tuple[int, ...]]
     domains: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
-        m = len(self.object_ids)
-        if m < 1:
-            raise ValueError("a decision table needs at least one object")
         if len(self.condition_attrs) < 1:
             raise ValueError("a decision table needs at least one condition attribute")
-        if len(set(self.object_ids)) != m:
-            raise ValueError("object ids must be unique")
         names = self.condition_attrs + (self.decision_attr,)
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
@@ -87,6 +82,9 @@ class DecisionTable:
             raise ValueError("codes must hold one column per attribute")
         if set(self.domains) != set(names):
             raise ValueError("domains must hold one entry per attribute")
+        m = self.m
+        if m < 1:
+            raise ValueError("a decision table needs at least one object")
         for attr in names:
             column, size = self.codes[attr], len(self.domains[attr])
             if len(column) != m:
@@ -94,12 +92,12 @@ class DecisionTable:
             if min(column) < 0 or max(column) >= size:
                 i = next(i for i, code in enumerate(column) if not 0 <= code < size)
                 raise ValueError(
-                    f"object {self.object_ids[i]!r}: code {column[i]} outside domain of {attr!r}"
+                    f"object 'x{i + 1}': code {column[i]} outside domain of {attr!r}"
                 )
 
     @property
     def m(self) -> int:
-        return len(self.object_ids)
+        return len(self.codes[self.decision_attr])
 
     def column(self, attr: str) -> tuple[int, ...]:
         """The codes of ``attr`` (a condition attribute or the decision)."""
@@ -241,8 +239,7 @@ def parse_columns(
 def from_columns(columns: Sequence[RawColumn], decision_attr: str) -> DecisionTable:
     """Encode all-categorical columns into a decision table.
 
-    Object ids are positional (``x1`` .. ``xm``); category codes are dense
-    integers in first-appearance order.
+    Category codes are dense integers in first-appearance order.
     """
     by_name = {c.name: c for c in columns}
     if decision_attr not in by_name:
@@ -261,14 +258,13 @@ def from_columns(columns: Sequence[RawColumn], decision_attr: str) -> DecisionTa
         index = {cell: k for k, cell in enumerate(dict.fromkeys(col.cells))}
         codes[col.name] = tuple(map(index.__getitem__, col.cells))
         domains[col.name] = tuple(index)
-    object_ids = tuple(f"x{i + 1}" for i in range(len(ordered[0].cells)))
-    return DecisionTable(object_ids, condition, decision_attr, codes, domains)
+    return DecisionTable(condition, decision_attr, codes, domains)
 
 
 def project(table: DecisionTable, attrs: Iterable[str]) -> DecisionTable:
     """Restrict the table to ``attrs`` plus the decision column.
 
-    Kept columns stay in table order; object order, ids, codes and the
+    Kept columns stay in table order; object order, codes and the
     decision column are unchanged.
     """
     wanted = set(attrs)
@@ -281,5 +277,24 @@ def project(table: DecisionTable, attrs: Iterable[str]) -> DecisionTable:
     names = kept + (table.decision_attr,)
     codes = {a: table.codes[a] for a in names}
     domains = {a: table.domains[a] for a in names}
-    return DecisionTable(table.object_ids, kept, table.decision_attr, codes, domains)
+    return DecisionTable(kept, table.decision_attr, codes, domains)
+
+
+def bitsets(codes: Sequence[int], size: int) -> tuple[int, ...]:
+    """For each code below ``size``, the positions holding it in ``codes``
+    as the set bits of one int."""
+    buffers = [bytearray((len(codes) + 7) >> 3) for _ in range(size)]
+    for i, code in enumerate(codes):
+        buffers[code][i >> 3] |= 1 << (i & 7)
+    return tuple(int.from_bytes(buffer, "little") for buffer in buffers)
+
+
+def row_masks(table: DecisionTable) -> tuple[tuple[int, ...], ...]:
+    """Per condition attribute, per code: the rows holding that code.
+
+    Bit i of ``row_masks(table)[a][code]`` is set when row i holds
+    ``code`` in the a-th condition attribute.  That is rows x (sum of the
+    domain sizes) bits in all.
+    """
+    return tuple(bitsets(table.column(a), len(table.domains[a])) for a in table.condition_attrs)
 

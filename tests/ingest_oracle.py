@@ -154,5 +154,4 @@ def from_columns(columns: Sequence[RawColumn], decision_attr: str) -> DecisionTa
         index: dict[str, int] = {}
         codes[col.name] = tuple(index.setdefault(cell, len(index)) for cell in col.cells)
         domains[col.name] = tuple(index)
-    object_ids = tuple(f"x{i + 1}" for i in range(len(ordered[0].cells)))
-    return DecisionTable(object_ids, condition, decision_attr, codes, domains)
+    return DecisionTable(condition, decision_attr, codes, domains)

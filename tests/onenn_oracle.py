@@ -23,11 +23,8 @@ def subset(table: DecisionTable, rows: Sequence[int]) -> DecisionTable:
     """Row-subset of the table (same attributes, codes and domains)."""
     if not rows:
         raise ValueError("subset needs at least one row")
-    object_ids = tuple(table.object_ids[i] for i in rows)
     codes = {a: tuple(column[i] for i in rows) for a, column in table.codes.items()}
-    return DecisionTable(
-        object_ids, table.condition_attrs, table.decision_attr, codes, dict(table.domains)
-    )
+    return DecisionTable(table.condition_attrs, table.decision_attr, codes, dict(table.domains))
 
 
 def nb_train(train: DecisionTable) -> NBModel:

@@ -555,7 +555,8 @@ class TestEntryPoint:
 
     def test_commands_load_neither_scipy_nor_numpy(self):
         """A categorical reduct and the default-threshold ChiMerge of a
-        three-class numeric table run without importing scipy or numpy."""
+        three-class numeric table run without importing scipy, numpy or
+        fractions."""
         argvs = [
             ["reduct", "--input", ADMISSIONS],
             ["discretize", "--input", NUMERIC],
@@ -567,7 +568,7 @@ class TestEntryPoint:
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
-            "print(json.dumps(sorted({'scipy', 'numpy'} & set(sys.modules))))\n"
+            "print(json.dumps(sorted({'scipy', 'numpy', 'fractions'} & set(sys.modules))))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script, json.dumps(argvs)],

@@ -12,8 +12,8 @@ from rredux import (
     from_columns,
     stratified_folds,
 )
-from rredux.evaluate import FoldPlan, nb_predict, nb_train, nearest_row, row_masks
-from rredux.table import project
+from rredux.evaluate import FoldPlan, nb_predict, nb_train, nearest_row
+from rredux.table import project, row_masks
 from rredux.jsonout import canonical
 from conftest import make_random_table
 

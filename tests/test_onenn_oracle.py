@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import onenn_oracle
 from rredux import RawColumn, cross_validate, from_columns, stratified_folds
-from rredux.evaluate import nearest_row, row_masks
+from rredux.evaluate import nearest_row
+from rredux.table import row_masks
 
 
 @st.composite

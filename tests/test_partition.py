@@ -41,7 +41,7 @@ def refines(p, q) -> bool:
 
 def ids(table, blks):
     return block_sets(
-        tuple(tuple(table.object_ids[i] for i in block) for block in blks)
+        tuple(tuple(f"x{i + 1}" for i in block) for block in blks)
     )
 
 

@@ -6,7 +6,8 @@ from collections import Counter
 
 import row_oracle
 from rredux import RawColumn, cross_validate, from_columns, stratified_folds
-from rredux.evaluate import CLASSIFIERS, nb_predict, nb_train, nearest_row, row_masks
+from rredux.evaluate import CLASSIFIERS, nb_predict, nb_train, nearest_row
+from rredux.table import row_masks
 
 TABLES = 240
 

@@ -1,16 +1,20 @@
 """The joint-count similarity matrix against the member-count factor it
 replaced, kept in ``member_count_oracle``, on generated decision tables;
-and the member count against the block-pair intersection it replaced in
-turn, kept in ``similarity_oracle``, on generated partition pairs."""
+the member count against the block-pair intersection it replaced in turn,
+kept in ``similarity_oracle``, on generated partition pairs; and the
+integer mean against the ``Fraction`` sum it replaced."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from fractions import Fraction
+
 import member_count_oracle
 import similarity_oracle
 from rredux import RawColumn, from_columns, matrix, relative_blocks
+from rredux.similarity import exact_mean
 
 SETTINGS = dict(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -92,9 +96,30 @@ def _oracle_matrix(table):
                  for a in rel)
 
 
+# value k of a0 is held by k + 1 rows, so its cells have the sizes 1 .. 24
+# and their least common multiple is 5,354,228,880
+SIZES = [k for k in range(24) for _ in range(k + 1)]
+# a0 refines a1 = a0 mod 3, so the factor of a0 toward a1 is exactly 1.0
+REFINED = [0, 1, 2, 3, 4, 5, 0, 3, 4, 5, 1, 2]
+
+
 @settings(max_examples=300, **SETTINGS)
 @example(table=_table([[0], [1], [2]], [0]))
 @example(table=_table([[0, 1, 1, 2, 0], [0, 0, 1, 1, 1]], [0, 0, 0, 0, 0]))
+@example(table=_table([SIZES, [i % 7 for i in range(len(SIZES))]], [0] * len(SIZES)))
+@example(table=_table([REFINED, [v % 3 for v in REFINED]], [i % 2 for i in range(12)]))
 @given(table=tables())
 def test_matrix_matches_member_count_oracle(table):
     assert matrix(table).values == _oracle_matrix(table)
+
+
+# factors lie in (0, 1]; the exact mean of 1/12, 1/6 and 1/8 is 1/8, one of them
+@settings(max_examples=500, **SETTINGS)
+@example(factors=[5e-324])
+@example(factors=[5e-324, 1.0, 5e-324])
+@example(factors=[1.0, 1.0])
+@example(factors=[1 / 12, 1 / 6, 1 / 8])
+@given(factors=st.lists(st.floats(5e-324, 1.0), min_size=1, max_size=30))
+def test_exact_mean_matches_fraction_sum(factors):
+    exact = float(sum(map(Fraction, factors)) / len(factors))
+    assert exact_mean(f.as_integer_ratio() for f in factors) == exact

@@ -36,7 +36,6 @@ class TestParseCsv:
         assert admissions.m == 8
         assert admissions.condition_attrs == ("i", "e", "f", "r")
         assert admissions.decision_attr == "Decision"
-        assert admissions.object_ids == tuple(f"x{n}" for n in range(1, 9))
         assert admissions.domains["i"] == ("MBA", "MCE", "MSc")
         assert admissions.domains["Decision"] == ("Accept", "Reject")
 
@@ -125,7 +124,6 @@ class TestParseCsv:
         rows1 = [decoded_row(t1, i) for i in range(t1.m)]
         rows2 = [decoded_row(t2, i) for i in range(t2.m)]
         assert rows2 == [rows1[2], rows1[0], rows1[1]]
-        assert t2.object_ids == ("x1", "x2", "x3")
 
 
 class TestNumericDetection:
@@ -200,7 +198,7 @@ class TestProjectAndSubset:
 
     def test_subset_preserves_ids_and_domains(self, admissions):
         sub = subset(admissions, [1, 4, 6])
-        assert sub.object_ids == ("x2", "x5", "x7")
+        assert sub.m == 3
         assert sub.domains == admissions.domains
         assert sub.codes == {
             a: tuple(column[i] for i in (1, 4, 6)) for a, column in admissions.codes.items()
@@ -235,21 +233,10 @@ class TestFromColumns:
 
 
 class TestDecisionTableInvariants:
-    def test_duplicate_object_ids(self, admissions):
-        with pytest.raises(ValueError, match="unique"):
-            DecisionTable(
-                ("x1",) * 8,
-                admissions.condition_attrs,
-                admissions.decision_attr,
-                admissions.codes,
-                admissions.domains,
-            )
-
     def test_column_length_checked(self, admissions):
         bad = {**admissions.codes, "f": admissions.codes["f"][:-1]}
         with pytest.raises(ValueError, match="'f': expected 8 codes, got 7"):
             DecisionTable(
-                admissions.object_ids,
                 admissions.condition_attrs,
                 admissions.decision_attr,
                 bad,
@@ -263,7 +250,6 @@ class TestDecisionTableInvariants:
         ):
             with pytest.raises(ValueError, match="one column per attribute"):
                 DecisionTable(
-                    admissions.object_ids,
                     admissions.condition_attrs,
                     admissions.decision_attr,
                     bad,
@@ -274,13 +260,12 @@ class TestDecisionTableInvariants:
         codes = {"a": (0,), "d": (0,)}
         for bad in ({"a": ("u",)}, {"a": ("u",), "d": ("y",), "z": ("w",)}):
             with pytest.raises(ValueError, match="domains must hold one entry per attribute"):
-                DecisionTable(("x1",), ("a",), "d", codes, bad)
+                DecisionTable(("a",), "d", codes, bad)
 
     def test_code_outside_domain(self, admissions):
         bad = {**admissions.codes, "i": admissions.codes["i"][:-1] + (9,)}
         with pytest.raises(ValueError, match="object 'x8': code 9 outside domain of 'i'"):
             DecisionTable(
-                admissions.object_ids,
                 admissions.condition_attrs,
                 admissions.decision_attr,
                 bad,
@@ -292,7 +277,6 @@ class TestDecisionTableInvariants:
         bad = {**admissions.codes, "Decision": column[:2] + (-1,) + column[3:]}
         with pytest.raises(ValueError, match="object 'x3': code -1 outside domain"):
             DecisionTable(
-                admissions.object_ids,
                 admissions.condition_attrs,
                 admissions.decision_attr,
                 bad,
