@@ -17,6 +17,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ValidationError
@@ -42,6 +43,11 @@ class FoldPlan:
         train = tuple(i for i, f in enumerate(self.assignments) if f != fold)
         test = tuple(i for i, f in enumerate(self.assignments) if f == fold)
         return train, test
+
+    @cached_property
+    def _in_fold(self) -> tuple[int, ...]:
+        """Bit i of ``_in_fold[f]`` is set when row i is in fold f."""
+        return bitsets(self.assignments, self.k)
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,8 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
 
     Each fold's classifier sees only the rows outside the fold.  ``nb``
     counts them by index; ``1nn`` takes them as one bitset over the
-    table's ``table.row_masks``, built once.
+    table's ``table.row_masks``.  The masks and the plan's fold bitsets are
+    built once, so ``compare``'s second run, on the projection, reuses them.
     """
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {classifier!r}")
@@ -196,7 +203,7 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
     decisions = table.column(table.decision_attr)
     if classifier == "1nn":
         masks = row_masks(table)
-        in_fold = bitsets(plan.assignments, plan.k)
+        in_fold = plan._in_fold
         everyone = (1 << table.m) - 1
     accuracies = []
     for fold in range(plan.k):

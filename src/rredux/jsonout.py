@@ -4,15 +4,39 @@ Byte-stable for a given value: single line, keys sorted, every float
 rendered with exactly six decimal places.  The fixed float format is the
 point; the stdlib encoder's shortest-repr floats would make golden files
 churn on any arithmetic reordering.
+
+Everything else already matches the stdlib encoder's default form
+(``", "`` and ``": "`` separators, ``ensure_ascii=False``), so a list or
+tuple whose elements are all exactly ``str``, ``int``, ``bool`` or
+``None`` -- such as the object-id lists of a trace's partitions -- goes
+through the C encoder in one call.  The types must match exactly, not by
+``isinstance``: the encoder writes an ``int`` subclass by the base
+type's rules, where this module calls the value's own ``str``, so an
+``int``-valued ``Enum`` (and, on Python 3.10, an ``IntEnum``) would print
+differently.  Dicts, and lists holding anything else, are written
+element by element.
 """
 
 from __future__ import annotations
 
 import json
 
+_PLAIN = frozenset({str, int, bool, type(None)})
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def canonical(value) -> str:
     """Serialize ``value`` to canonical JSON text (no trailing newline)."""
+    if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= _PLAIN:
+            return _encode(value)
+        return "[" + ", ".join(map(canonical, value)) + "]"
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        items = (f"{_encode(k)}: {canonical(value[k])}" for k in sorted(value))
+        return "{" + ", ".join(items) + "}"
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -22,16 +46,5 @@ def canonical(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-        items = (
-            f"{json.dumps(k, ensure_ascii=False)}: {canonical(value[k])}"
-            for k in sorted(value)
-        )
-        return "{" + ", ".join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(canonical(v) for v in value) + "]"
+        return _encode(value)
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")

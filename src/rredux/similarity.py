@@ -8,8 +8,14 @@ the largest share of it that also agrees on B, and the factor is the
 mean contribution.  It is asymmetric, lies in (0, 1], and equals 1
 exactly when every block of A's partition fits inside one block of B's.
 
-``matrix`` counts the (a, b, d) triples of each unordered attribute pair
-once, reads both directions from that count and averages with ``exact_mean``.
+``matrix`` names each row's (a, d) cell of an attribute by one int,
+``a * nd + d``, where nd is the size of the decision domain, so a cell
+of any attribute is below ``width``, the largest domain size times nd.
+Per unordered attribute pair it counts the keys ``cell_A * width +
+cell_B`` of the rows.  That key is injective on (a, b, d): ``key //
+width`` and ``key % width`` give back the two cells, and they share d,
+because both come from the same row.  Both directions are read from that
+one count and averaged with ``exact_mean``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from operator import add, itemgetter
 from typing import Iterable
 
 from .partition import relative_blocks
@@ -76,16 +82,20 @@ def matrix(table: DecisionTable) -> SimilarityMatrix:
     """Pairwise similarity factors from one joint count per attribute pair."""
     attrs = table.condition_attrs
     decision = table.column(table.decision_attr)
-    columns = [table.column(a) for a in attrs]
-    sizes = [Counter(zip(column, decision)) for column in columns]  # count(a, d)
+    nd = len(table.domains[table.decision_attr])
+    width = max(len(table.domains[a]) for a in attrs) * nd
+    cells = [list(map(add, map(nd.__mul__, table.column(a)), decision)) for a in attrs]
+    sizes = [Counter(column) for column in cells]  # cell -> count(a, d)
     values = [[1.0] * len(attrs) for _ in attrs]
-    for i, j in combinations(range(len(attrs)), 2):
-        best_i, best_j = {}, {}  # (a, d) -> max_b count(a, b, d), and (b, d) -> max_a
-        for (a, b, d), n in Counter(zip(columns[i], columns[j], decision)).items():
-            if n > best_i.get((a, d), 0):
-                best_i[a, d] = n
-            if n > best_j.get((b, d), 0):
-                best_j[b, d] = n
-        values[i][j] = exact_mean((best_i[c], n) for c, n in sizes[i].items())
-        values[j][i] = exact_mean((best_j[c], n) for c, n in sizes[j].items())
+    for i in range(len(attrs) - 1):
+        scaled = [c * width for c in cells[i]]
+        for j in range(i + 1, len(attrs)):
+            best_i, best_j = {}, {}  # cell of i -> max over the cells of j, and back
+            # ascending by count, so the last count stored for a cell is its largest
+            counts = Counter(map(add, scaled, cells[j]))
+            for key, n in sorted(counts.items(), key=itemgetter(1)):
+                best_i[key // width] = n
+                best_j[key % width] = n
+            values[i][j] = exact_mean((best_i[c], n) for c, n in sizes[i].items())
+            values[j][i] = exact_mean((best_j[c], n) for c, n in sizes[j].items())
     return SimilarityMatrix(attrs, tuple(map(tuple, values)), table)

@@ -1,0 +1,86 @@
+"""Canonical JSON through the stdlib encoder against the all-Python emitter
+it replaced, kept in ``canonical_oracle``, on generated nested values."""
+
+import enum
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+import canonical_oracle
+from rredux.jsonout import canonical
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+class Mode(int, enum.Enum):
+    """An int mix-in without ``IntEnum``: ``str`` gives ``Mode.FAST``, where
+    the C encoder would write the int."""
+
+    FAST = 1
+
+
+class Tag(str):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+# any code point, lone surrogates included, and the characters JSON escapes
+CHARS = st.one_of(
+    st.characters(),
+    st.integers(0xD800, 0xDFFF).map(chr),
+    st.sampled_from('"\\/\x00\x08\x0c\x1f\x7f\u2028\u2029\ufeff\n\r\t'),
+)
+STRINGS = st.lists(CHARS, max_size=10).map("".join)
+# 10**4299 has 4,300 digits, the most ``str`` writes; 10**4300 is over the
+# limit (mapped, because hypothesis cannot show such an int in a strategy)
+INTS = st.one_of(st.integers(), st.sampled_from([(1, 4299), (-1, 4299), (1, 4300)])
+                 .map(lambda sign_digits: sign_digits[0] * 10 ** sign_digits[1]))
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 1e300, float("nan"), float("inf")]))
+PLAIN = st.one_of(st.none(), st.booleans(), INTS, STRINGS)
+SUBCLASSED = st.one_of(st.sampled_from(Level), st.sampled_from(Mode), STRINGS.map(Tag),
+                       FLOATS.map(Ratio))
+UNSERIALIZABLE = st.one_of(st.sets(st.integers(), max_size=2), st.binary(max_size=3),
+                           st.builds(object))
+KEYS = st.one_of(STRINGS, STRINGS.map(Tag), st.integers(0, 3), st.none())
+SCALARS = st.one_of(PLAIN, FLOATS, st.lists(PLAIN, max_size=6),
+                    st.lists(PLAIN, max_size=6).map(tuple))
+VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(st.one_of(children, SUBCLASSED, UNSERIALIZABLE), max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(STRINGS, children, max_size=4),
+        st.dictionaries(KEYS, children, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+def _outcome(emit, value):
+    """The text ``emit`` writes for ``value``, or the type of what it raises."""
+    try:
+        return emit(value)
+    except Exception as exc:  # noqa: BLE001 -- the type is what is compared
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(value=[])
+@example(value={"ids": [["x1", "x2"], [], ["x3"]], "n": [1, True, None]})
+@example(value=[1, Level.HIGH, Mode.FAST, "a"])
+@example(value=[Tag("\ud800"), "q\"uote"])
+@example(value=[Ratio(0.5), -0.0, 1e300, float("nan"), float("-inf")])
+@example(value={"a": [1], 2: "b"})
+@example(value=[[set()], b"x", object()])
+@given(value=VALUES)
+def test_canonical_matches_oracle(value):
+    assert _outcome(canonical, value) == _outcome(canonical_oracle.canonical, value)

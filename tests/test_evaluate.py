@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +13,11 @@ from rredux import (
     from_columns,
     stratified_folds,
 )
+import rredux.evaluate
+import rredux.table
+from rredux.cli import main
 from rredux.evaluate import FoldPlan, nb_predict, nb_train, nearest_row
-from rredux.table import project, row_masks
+from rredux.table import bitsets, project, row_masks
 from rredux.jsonout import canonical
 from conftest import make_random_table
 
@@ -232,6 +236,24 @@ class TestCrossValidateAndCompare:
             # every object in fold 0: fold 0 trains on nothing, fold 1 tests nothing
             with pytest.raises(ValueError, match="fold 0 leaves no training"):
                 cross_validate(admissions, FoldPlan(2, 0, (0,) * 8), classifier)
+
+    def test_one_nn_run_builds_each_bitset_once(self, monkeypatch, capsys):
+        """The projection reuses the full table's row masks and the plan's fold
+        bitsets: one ``bitsets`` call per condition column (4) and one for the
+        folds, not a second set for the reduced run."""
+        built = []
+
+        def counted(codes, size):
+            built.append(size)
+            return bitsets(codes, size)
+
+        monkeypatch.setattr(rredux.table, "bitsets", counted)
+        monkeypatch.setattr(rredux.evaluate, "bitsets", counted)
+        numeric = Path(__file__).parent / "data" / "numeric_sample.csv"
+        assert main(["evaluate", "--input", str(numeric), "--classifier", "1nn",
+                     "--folds", "3", "--seed", "0", "--output", "json"]) == 0
+        capsys.readouterr()
+        assert len(built) == 5
 
     def test_empty_reduct_rejected(self, admissions):
         with pytest.raises(ValueError):

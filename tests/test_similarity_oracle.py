@@ -1,8 +1,12 @@
-"""The joint-count similarity matrix against the member-count factor it
-replaced, kept in ``member_count_oracle``, on generated decision tables;
+"""The similarity matrix on integer cell keys against the tuple-keyed joint
+count it replaced, kept in ``joint_count_oracle``, and against the
+member-count factor before that, kept in ``member_count_oracle``, on
+generated decision tables;
 the member count against the block-pair intersection it replaced in turn,
 kept in ``similarity_oracle``, on generated partition pairs; and the
 integer mean against the ``Fraction`` sum it replaced."""
+
+import random
 
 import pytest
 
@@ -11,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fractions import Fraction
 
+import joint_count_oracle
 import member_count_oracle
 import similarity_oracle
 from rredux import RawColumn, from_columns, matrix, relative_blocks
@@ -123,3 +128,42 @@ def test_matrix_matches_member_count_oracle(table):
 def test_exact_mean_matches_fraction_sum(factors):
     exact = float(sum(map(Fraction, factors)) / len(factors))
     assert exact_mean(f.as_integer_ratio() for f in factors) == exact
+
+
+@st.composite
+def wide_domain_tables(draw):
+    """1-400 rows, 1-4 condition attributes of arity 1-300, 1-4 classes.  A
+    round-robin column holds min(rows, arity) values, so many tables have
+    cells and keys above 256, outside CPython's small-int cache."""
+    m = draw(st.integers(1, 400))
+
+    def labels(arity):
+        k = draw(st.integers(1, arity))
+        if draw(st.booleans()):
+            return [i % k for i in range(m)]
+        return draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+
+    columns = [labels(300) for _ in range(draw(st.integers(1, 4)))]
+    return _table(columns, labels(4))
+
+
+@settings(max_examples=200, **SETTINGS)
+@example(table=_table([[0], [0]], [0]))
+@example(table=_table([[0] * 5, [0, 1, 2, 3, 4]], [0, 1, 0, 1, 1]))
+@example(table=_table([list(range(300)), [i % 7 for i in range(300)]], [0] * 300))
+@example(table=_table([list(range(300)), [i % 257 for i in range(300)]],
+                      [i % 3 for i in range(300)]))
+@given(table=wide_domain_tables())
+def test_matrix_matches_joint_count_oracle(table):
+    assert matrix(table).values == joint_count_oracle.matrix(table).values
+
+
+def test_matrix_matches_joint_count_oracle_on_an_id_like_column():
+    """A 5,000-value column next to small ones on 20,000 rows."""
+    rng = random.Random(12)
+    m = 20_000
+    ids = [rng.randrange(5_000) for _ in range(m)]
+    small = [[rng.randrange(k) for _ in range(m)] for k in (3, 8, 40)]
+    table = _table([ids, *small], [rng.randrange(3) for _ in range(m)])
+    assert len(table.domains["a0"]) > 4_900
+    assert matrix(table).values == joint_count_oracle.matrix(table).values
