@@ -169,87 +169,74 @@ def _render_trace(trace: dict) -> list[str]:
     return lines
 
 
-def cmd_reduct(args) -> int:
-    columns, decision, _ = _read_columns(args)
-    result = run_pipeline(from_columns(columns, decision), trace=args.trace)
-    if args.output == "json":
-        payload = {"reduct": list(result.reduct), "isolated": list(result.isolated)}
-        if args.trace:
-            payload["trace"] = result.trace
-        print(canonical(payload))
-        return 0
-    lines = []
-    if args.trace:
-        lines += _render_trace(result.trace)
-    lines.append(f"reduct: {_attr_list(result.reduct)}")
-    lines.append(f"isolated: {_attr_list(result.isolated)}")
-    print("\n".join(lines))
-    return 0
+def _report(args, seed: int | None = None) -> int:
+    """Print the reduct of the input; given a seed, also cross-validate it.
 
-
-def cmd_discretize(args) -> int:
-    columns, _, maps = _read_columns(args)
-    writer = csv.writer(sys.stdout, delimiter=args.delimiter, lineterminator="\n")
-    writer.writerow([col.name for col in columns])
-    for row in zip(*(col.cells for col in columns)):
-        writer.writerow(row)
-    if args.emit_cuts:
-        payload = {
-            attr: {"cut_points": list(imap.cut_points), "labels": list(imap.labels)}
-            for attr, imap in maps.items()
-        }
-        with open(args.emit_cuts, "w", encoding="utf-8") as sidecar:
-            sidecar.write(canonical(payload) + "\n")
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    if args.folds < 2:
-        raise UsageError("folds must be >= 2")
-    seed = _resolve_seed(args)
+    Both commands share this path, so evaluate's output, in JSON and in
+    text, is reduct's plus the comparison.
+    """
     columns, decision, _ = _read_columns(args)
     table = from_columns(columns, decision)
     result = run_pipeline(table, trace=args.trace)
-    full, reduced = compare(table, result.reduct, args.folds, seed, args.classifier)
-    sets = {
-        "full": (full, consistency(table)),
-        "reduced": (reduced, consistency(table, result.reduct)),
-    }
-    if args.output == "json":
-        payload = {
-            "classifier": args.classifier,
-            "folds": args.folds,
-            "seed": seed,
-            "reduct": list(result.reduct),
-            "isolated": list(result.isolated),
-            "delta": full.delta,
-        }
-        for name, (report, consist) in sets.items():
+    payload = {"reduct": list(result.reduct), "isolated": list(result.isolated)}
+    if seed is not None:
+        full, reduced = compare(table, result.reduct, args.folds, seed, args.classifier)
+        payload.update(classifier=args.classifier, folds=args.folds, seed=seed, delta=full.delta)
+        for name, report, consist in (
+            ("full", full, consistency(table)),
+            ("reduced", reduced, consistency(table, result.reduct)),
+        ):
             payload[name] = {
                 "attrs": list(report.attrs),
                 "fold_accuracies": list(report.fold_accuracies),
                 "mean_accuracy": report.mean_accuracy,
                 "consistency": consist,
             }
-        if args.trace:
-            payload["trace"] = result.trace
+    if args.trace:
+        payload["trace"] = result.trace
+    if args.output == "json":
         print(canonical(payload))
         return 0
     lines = _render_trace(result.trace) if args.trace else []
-    lines += [
-        f"reduct: {_attr_list(result.reduct)}",
-        f"isolated: {_attr_list(result.isolated)}",
-        f"classifier: {args.classifier}  folds: {args.folds}  seed: {seed}",
-    ]
-    rows = [["set", "attrs", "mean_accuracy", "consistency"]]
-    for name, (report, consist) in sets.items():
-        rows.append(
-            [name, _attr_list(report.attrs), f"{report.mean_accuracy:.6f}", f"{consist:.6f}"]
-        )
-    lines += _render_aligned(rows)
-    lines.append(f"delta (reduced - full): {full.delta:.6f}")
+    lines.append(f"reduct: {_attr_list(result.reduct)}")
+    lines.append(f"isolated: {_attr_list(result.isolated)}")
+    if seed is not None:
+        lines.append(f"classifier: {args.classifier}  folds: {args.folds}  seed: {seed}")
+        rows = [["set", "attrs", "mean_accuracy", "consistency"]]
+        for name in ("full", "reduced"):
+            entry = payload[name]
+            rows.append([name, _attr_list(entry["attrs"]), f"{entry['mean_accuracy']:.6f}",
+                         f"{entry['consistency']:.6f}"])
+        lines += _render_aligned(rows)
+        lines.append(f"delta (reduced - full): {full.delta:.6f}")
     print("\n".join(lines))
     return 0
+
+
+def cmd_reduct(args) -> int:
+    return _report(args)
+
+
+def cmd_discretize(args) -> int:
+    columns, _, maps = _read_columns(args)
+    if args.emit_cuts:  # before stdout, so a sidecar that cannot be written leaves it empty
+        payload = {
+            attr: {"cut_points": list(imap.cut_points), "labels": list(imap.labels)}
+            for attr, imap in maps.items()
+        }
+        with open(args.emit_cuts, "w", encoding="utf-8") as sidecar:
+            sidecar.write(canonical(payload) + "\n")
+    writer = csv.writer(sys.stdout, delimiter=args.delimiter, lineterminator="\n")
+    writer.writerow([col.name for col in columns])
+    for row in zip(*(col.cells for col in columns)):
+        writer.writerow(row)
+    return 0
+
+
+def cmd_evaluate(args) -> int:
+    if args.folds < 2:
+        raise UsageError("folds must be >= 2")
+    return _report(args, _resolve_seed(args))
 
 
 def main(argv=None) -> int:

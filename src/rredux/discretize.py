@@ -21,7 +21,6 @@ from .table import CATEGORICAL, NUMERIC, RawColumn
 from .table import from_columns  # not called here; perfbench/tracer.py rebinds it by name
 
 DEFAULT_MAX_INTERVALS = 6
-DEFAULT_SIGNIFICANCE = 0.95
 # chi2.ppf(0.95, df) for df 1..30, the repr of scipy.stats' own floats, so
 # the default threshold needs scipy only beyond this table
 CRITICAL_95 = {
@@ -91,15 +90,11 @@ def chi_square(left_counts: Sequence[int], right_counts: Sequence[int]) -> float
     Expected counts are row_total * class_total / N.  A zero expected
     count only ever pairs with a zero observed count, so it is replaced
     by 0.1 in the divisor alone; identical distributions score exactly 0.
+    The vectors have one entry per class and a positive total, as
+    ``chimerge`` builds them.
     """
-    if len(left_counts) != len(right_counts):
-        raise ValueError("count vectors must have the same class arity")
-    if not left_counts:
-        raise ValueError("count vectors must be non-empty")
     class_totals = [a + b for a, b in zip(left_counts, right_counts)]
     total = sum(class_totals)
-    if total == 0:
-        raise ValueError("at least one count must be positive")
     statistic = 0.0
     for row in (left_counts, right_counts):
         row_total = sum(row)
@@ -109,8 +104,8 @@ def chi_square(left_counts: Sequence[int], right_counts: Sequence[int]) -> float
     return statistic
 
 
-def default_threshold(n_classes: int, significance: float = DEFAULT_SIGNIFICANCE) -> float:
-    """Chi-square critical value at ``significance`` with n_classes-1 df.
+def default_threshold(n_classes: int) -> float:
+    """Chi-square critical value at 0.95 significance with n_classes-1 df.
 
     Degrees of freedom are clamped to 1 so a single-class column still
     gets a usable threshold (its pair statistics are all zero anyway).
@@ -118,16 +113,15 @@ def default_threshold(n_classes: int, significance: float = DEFAULT_SIGNIFICANCE
     here; without scipy they raise ``ImportError``.
     """
     df = max(n_classes - 1, 1)
-    if significance == DEFAULT_SIGNIFICANCE and df in CRITICAL_95:
+    if df in CRITICAL_95:
         return CRITICAL_95[df]
     try:
         from scipy.stats import chi2
     except ImportError:
         raise ImportError(
-            f"the chi-square critical value for {df} degrees of freedom at "
-            f"significance {significance} needs scipy"
+            f"the chi-square critical value for {df} degrees of freedom needs scipy"
         ) from None
-    return float(chi2.ppf(significance, df))
+    return float(chi2.ppf(0.95, df))
 
 
 def _format_bound(value: float) -> str:
@@ -223,7 +217,10 @@ def chimerge(
     cuts: list[float] = []
     i, j = 0, after[0]
     while j is not None:
-        cuts.append((high[i] + low[j]) / 2)
+        # the midpoint, unless rounding (adjacent floats) or overflow puts it
+        # outside (high, low]; intervals are lower-inclusive, so low will do
+        cut = (high[i] + low[j]) / 2
+        cuts.append(cut if high[i] < cut <= low[j] else low[j])
         i, j = j, after[j]
     return IntervalMap(attr, tuple(cuts), _interval_labels(cuts))
 

@@ -35,20 +35,14 @@ class SimilarityElement:
     """One similarity edge: ``left`` is similar to the attributes in ``right``.
 
     Selected and filtered elements have a singleton right and carry their
-    factor; compound elements may have several rights and no factor.
+    factor; compound elements may have several rights and no factor.  The
+    right side is non-empty, free of repeats and never holds ``left``: only
+    the stages below build elements, so the tests assert this on their output.
     """
 
     left: str
     right: tuple[str, ...]
     factor: float | None = None
-
-    def __post_init__(self):
-        if not self.right:
-            raise ValueError("similarity element needs a non-empty right side")
-        if self.left in self.right:
-            raise ValueError(f"attribute {self.left!r} cannot be similar to itself")
-        if len(set(self.right)) != len(self.right):
-            raise ValueError("right side contains duplicates")
 
 
 @dataclass(frozen=True)
@@ -62,15 +56,15 @@ class SimilaritySet:
 
 @dataclass(frozen=True)
 class ReductResult:
-    """The reduct plus the complete stage-by-stage trace."""
+    """The reduct plus the complete stage-by-stage trace.
+
+    No attribute appears twice in ``reduct``; ``sin_red_gen`` rejects the
+    inputs that would repeat one.
+    """
 
     reduct: tuple[str, ...]
     isolated: tuple[str, ...]
     trace: dict
-
-    def __post_init__(self):
-        if len(set(self.reduct)) != len(self.reduct):
-            raise ValueError("reduct contains duplicates")
 
 
 def select_pairs(mat: SimilarityMatrix) -> SimilaritySet:
@@ -135,6 +129,11 @@ def sin_red_gen(ass: SimilaritySet, all_attrs: tuple[str, ...]) -> ReductResult:
     compound set are appended afterwards as isolated attributes.
     """
     order = {a: k for k, a in enumerate(all_attrs)}
+    # either repeat would put an attribute in the reduct twice
+    if len(order) != len(all_attrs):
+        raise ValueError("attributes repeat")
+    if len({el.left for el in ass.elements}) != len(ass.elements):
+        raise ValueError("two elements share a left attribute")
     for el in ass.elements:
         for attr in (el.left, *el.right):
             if attr not in order:

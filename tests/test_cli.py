@@ -337,6 +337,32 @@ class TestDiscretize:
             }
         }
 
+    @pytest.mark.parametrize("low, high, labels", [
+        ("1.0", "1.0000000000000002", ["(-inf, 1)", "[1, inf)"]),
+        ("1.7e308", "1.79e308", ["(-inf, 1.79e+308)", "[1.79e+308, inf)"]),
+    ], ids=["adjacent-floats", "midpoint-overflows"])
+    def test_emit_cuts_where_the_midpoint_fails(self, tmp_path, low, high, labels):
+        src = tmp_path / "nums.csv"
+        src.write_text("a,d\n" + f"{low},x\n" * 3 + f"{high},y\n" * 3)
+        sidecar = tmp_path / "cuts.json"
+        code, out, err = run_cli(
+            "discretize", "--input", str(src), "--numeric-cols", "a",
+            "--chi-threshold", "0", "--emit-cuts", str(sidecar),
+        )
+        assert (code, err) == (0, "")
+        assert out == "a,d\n" + f'"{labels[0]}",x\n' * 3 + f'"{labels[1]}",y\n' * 3
+        assert json.loads(sidecar.read_text())["a"]["labels"] == labels
+
+    def test_unwritable_emit_cuts_exits_one_before_any_output(self, tmp_path):
+        src = tmp_path / "nums.csv"
+        src.write_text("a,d\n1,A\n2,A\n7,B\n8,B\n")
+        code, out, err = run_cli(
+            "discretize", "--input", str(src), "--numeric-cols", "a",
+            "--emit-cuts", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
     def test_mixed_columns_golden_with_cuts(self, tmp_path):
         src = tmp_path / "mixed.csv"
         src.write_text(MIXED_CSV)

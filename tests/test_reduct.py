@@ -39,18 +39,29 @@ def hand_matrix(attrs, values):
     )
 
 
+def stage_elements():
+    """Every element select_pairs, ass_gen and comp_sim build on random tables."""
+    rng = random.Random(7)
+    elements = []
+    for _ in range(100):
+        mat = matrix(make_random_table(rng, min_attrs=2))
+        for stage in (select_pairs(mat), ass_gen(mat), comp_sim(ass_gen(mat))):
+            elements += stage.elements
+    assert any(len(el.right) > 1 for el in elements)  # compounds are covered
+    return elements
+
+
 class TestElementAndSetInvariants:
+    """Only the stages build elements, so their output carries the invariants."""
+
     def test_left_not_in_right(self):
-        with pytest.raises(ValueError):
-            SimilarityElement("a", ("a",), 0.5)
+        assert all(el.left not in el.right for el in stage_elements())
 
     def test_right_non_empty(self):
-        with pytest.raises(ValueError):
-            SimilarityElement("a", (), 0.5)
+        assert all(el.right for el in stage_elements())
 
     def test_right_unique(self):
-        with pytest.raises(ValueError):
-            SimilarityElement("a", ("b", "b"))
+        assert all(len(set(el.right)) == len(el.right) for el in stage_elements())
 
 
 class TestAssGen:
@@ -205,6 +216,13 @@ class TestSinRedGen:
         compound = SimilaritySet((SimilarityElement("a", ("z",)),))
         with pytest.raises(ValueError):
             sin_red_gen(compound, ("a", "b"))
+
+    def test_input_that_would_repeat_a_reduct_attribute_rejected(self):
+        els = (SimilarityElement("a", ("b",)), SimilarityElement("a", ("c",)))
+        with pytest.raises(ValueError, match="share a left"):
+            sin_red_gen(SimilaritySet(els), ("a", "b", "c"))
+        with pytest.raises(ValueError, match="attributes repeat"):
+            sin_red_gen(SimilaritySet(()), ("a", "b", "a"))
 
 
 class TestRunPipeline:
