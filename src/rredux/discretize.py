@@ -124,17 +124,21 @@ def default_threshold(n_classes: int) -> float:
     return float(chi2.ppf(0.95, df))
 
 
-def _format_bound(value: float) -> str:
-    return format(value, "g")
-
-
 def _interval_labels(cut_points: Sequence[float]) -> tuple[str, ...]:
+    """One label per interval, pairwise distinct.
+
+    Bounds print with ``"g"`` (six significant digits) unless two of the
+    column's cuts would print the same; then every cut prints as its
+    ``repr``, which tells distinct floats apart.
+    """
     if not cut_points:
         return ("(-inf, inf)",)
-    labels = [f"(-inf, {_format_bound(cut_points[0])})"]
-    for lo, hi in zip(cut_points, cut_points[1:]):
-        labels.append(f"[{_format_bound(lo)}, {_format_bound(hi)})")
-    labels.append(f"[{_format_bound(cut_points[-1])}, inf)")
+    bounds = [format(c, "g") for c in cut_points]
+    if len(set(bounds)) < len(bounds):
+        bounds = list(map(repr, cut_points))
+    labels = [f"(-inf, {bounds[0]})"]
+    labels += [f"[{lo}, {hi})" for lo, hi in zip(bounds, bounds[1:])]
+    labels.append(f"[{bounds[-1]}, inf)")
     return tuple(labels)
 
 

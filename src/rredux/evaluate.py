@@ -4,7 +4,8 @@ Folds are stratified: objects are shuffled within each decision class by
 a seeded PRNG and dealt round-robin onto the folds, with the dealing
 position carried across classes.  That keeps both the fold sizes and
 each class's spread over folds within one object of even.  Two small
-deterministic classifiers are built in: naive Bayes, whose ties go to the
+deterministic classifiers are built in: naive Bayes, trained once per
+fold as log terms and scoring a row by lookups, whose ties go to the
 lowest class code, and 1-NN under Hamming distance on the table's
 per-value row masks (``table.row_masks``), whose ties go to the earliest
 training row.  Accuracy deltas between the full table and a projection
@@ -17,7 +18,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 from .errors import ValidationError
@@ -42,11 +42,6 @@ class FoldPlan:
         train = tuple(i for i, f in enumerate(self.assignments) if f != fold)
         test = tuple(i for i, f in enumerate(self.assignments) if f == fold)
         return train, test
-
-    @cached_property
-    def _in_fold(self) -> tuple[int, ...]:
-        """Bit i of ``_in_fold[f]`` is set when row i is in fold f."""
-        return bitsets(self.assignments, self.k)
 
 
 @dataclass(frozen=True)
@@ -92,48 +87,43 @@ def stratified_folds(table: DecisionTable, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k, tuple(assignments))
 
 
-@dataclass(frozen=True)
-class NBModel:
-    """Categorical naive Bayes counts with Laplace smoothing at predict time."""
+def nb_train(table: DecisionTable, rows: Sequence[int]) -> list[tuple[int, float, list]]:
+    """Naive Bayes with add-one smoothing, trained on the given rows.
 
-    classes: tuple[int, ...]
-    class_counts: tuple[int, ...]
-    value_counts: tuple[dict[tuple[int, int], int], ...]  # per attr: (value, class) -> n
-    domain_sizes: tuple[int, ...]
-    total: int
-
-
-def nb_train(table: DecisionTable, rows: Sequence[int]) -> NBModel:
-    """Count class and per-attribute value frequencies on the given rows."""
+    One entry per class seen in ``rows``, lowest code first: the class
+    code, its log prior, and one term per condition attribute.  A term is
+    a dict from each code seen with the class to its log likelihood,
+    smoothed over the attribute's domain, and the one log likelihood
+    shared by the codes not seen with it, so unseen codes never zero out
+    a class.
+    """
     decision = table.column(table.decision_attr)
     decisions = [decision[i] for i in rows]
     class_counts = Counter(decisions)
-    classes = tuple(sorted(class_counts))
-    columns = (table.column(a) for a in table.condition_attrs)
-    return NBModel(
-        classes,
-        tuple(class_counts[c] for c in classes),
-        tuple(Counter(zip([column[i] for i in rows], decisions)) for column in columns),
-        tuple(len(table.domains[a]) for a in table.condition_attrs),
-        len(rows),
-    )
+    classes = sorted(class_counts)
+    model = [(c, math.log(class_counts[c] / len(rows)), []) for c in classes]
+    for a in table.condition_attrs:
+        column, size = table.column(a), len(table.domains[a])
+        logs: dict[int, dict[int, float]] = {c: {} for c in classes}
+        for (value, cls), seen in Counter(zip([column[i] for i in rows], decisions)).items():
+            logs[cls][value] = math.log((seen + 1) / (class_counts[cls] + size))
+        for cls, _, terms in model:
+            terms.append((logs[cls], math.log(1 / (class_counts[cls] + size))))
+    return model
 
 
-def nb_predict(model: NBModel, values: Sequence[int]) -> int:
+def nb_predict(model: Sequence[tuple[int, float, list]], values: Sequence[int]) -> int:
     """Most probable class for a row of condition-attribute codes.
 
-    Log-space argmax of prior times smoothed likelihoods (add-one over
-    the attribute's domain), so unseen values never zero out a class.
-    Ties go to the lowest class code.  ``values`` holds one code per
-    trained attribute.
+    The log prior plus each attribute's log likelihood, summed in
+    attribute order; ties go to the lowest class code.  ``values`` holds
+    one code per term of ``nb_train``'s model.
     """
     best_cls = None
     best_score = -math.inf
-    for cls, count in zip(model.classes, model.class_counts):
-        score = math.log(count / model.total)
-        for a, value in enumerate(values):
-            seen = model.value_counts[a].get((value, cls), 0)
-            score += math.log((seen + 1) / (count + model.domain_sizes[a]))
+    for cls, score, terms in model:
+        for (logs, unseen), value in zip(terms, values):
+            score += logs.get(value, unseen)
         if score > best_score:
             best_cls, best_score = cls, score
     return best_cls
@@ -176,9 +166,8 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
     """Per-fold accuracies of one classifier under a fixed fold plan.
 
     Each fold's classifier sees only the rows outside the fold.  ``nb``
-    counts them by index; ``1nn`` takes them as one bitset over the
-    table's ``table.row_masks``.  The masks and the plan's fold bitsets are
-    built once, so ``compare``'s second run, on the projection, reuses them.
+    is trained on them by index; ``1nn`` takes them as one bitset over the
+    table's ``table.row_masks``.
     """
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {classifier!r}")
@@ -190,7 +179,7 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
     decisions = table.column(table.decision_attr)
     if classifier == "1nn":
         masks = row_masks(table)
-        in_fold = plan._in_fold
+        in_fold = bitsets(plan.assignments, plan.k)
         everyone = (1 << table.m) - 1
     accuracies = []
     for fold in range(plan.k):

@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import takewhile
 from typing import BinaryIO, Iterable, Sequence
 
@@ -71,11 +71,6 @@ class DecisionTable:
     decision_attr: str
     codes: dict[str, tuple[int, ...]]
     domains: dict[str, tuple[str, ...]]
-    # condition attribute -> its ``row_masks``, once built; a projection
-    # shares its source's dict, as it keeps the source's codes
-    _masks: dict[str, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if len(self.condition_attrs) < 1:
@@ -270,8 +265,7 @@ def project(table: DecisionTable, attrs: Iterable[str]) -> DecisionTable:
     """Restrict the table to ``attrs`` plus the decision column.
 
     Kept columns stay in table order; object order, codes and the
-    decision column are unchanged, so the projection shares the source's
-    row masks.
+    decision column are unchanged.
     """
     wanted = set(attrs)
     if not wanted:
@@ -283,9 +277,7 @@ def project(table: DecisionTable, attrs: Iterable[str]) -> DecisionTable:
     names = kept + (table.decision_attr,)
     codes = {a: table.codes[a] for a in names}
     domains = {a: table.domains[a] for a in names}
-    sub = DecisionTable(kept, table.decision_attr, codes, domains)
-    object.__setattr__(sub, "_masks", table._masks)
-    return sub
+    return DecisionTable(kept, table.decision_attr, codes, domains)
 
 
 def bitsets(codes: Sequence[int], size: int) -> tuple[int, ...]:
@@ -302,12 +294,6 @@ def row_masks(table: DecisionTable) -> tuple[tuple[int, ...], ...]:
 
     Bit i of ``row_masks(table)[a][code]`` is set when row i holds
     ``code`` in the a-th condition attribute.  That is rows x (sum of the
-    domain sizes) bits in all, built once per attribute and kept with the
-    table and its projections.
+    domain sizes) bits in all, one ``bitsets`` call per attribute.
     """
-    masks = table._masks
-    for a in table.condition_attrs:
-        if a not in masks:
-            masks[a] = bitsets(table.column(a), len(table.domains[a]))
-    return tuple(masks[a] for a in table.condition_attrs)
-
+    return tuple(bitsets(table.column(a), len(table.domains[a])) for a in table.condition_attrs)

@@ -353,6 +353,24 @@ class TestDiscretize:
         assert out == "a,d\n" + f'"{labels[0]}",x\n' * 3 + f'"{labels[1]}",y\n' * 3
         assert json.loads(sidecar.read_text())["a"]["labels"] == labels
 
+    def test_intervals_six_digits_cannot_tell_apart_keep_their_own_label(self, tmp_path):
+        src = tmp_path / "close.csv"
+        src.write_text("x,d\n1.0,a\n1.0000003,b\n1.0000005,a\n1.0000007,b\n")
+        code, out, err = run_cli("discretize", "--input", str(src), "--chi-threshold", "0")
+        assert (code, err) == (0, "")
+        assert out == (
+            'x,d\n'
+            '"(-inf, 1.00000015)",a\n'
+            '"[1.00000015, 1.0000004)",b\n'
+            '"[1.0000004, 1.0000006)",a\n'
+            '"[1.0000006, inf)",b\n'
+        )
+        code, out, err = run_cli("reduct", "--input", str(src), "--chi-threshold", "0",
+                                 "--trace", "--output", "json")
+        assert (code, err) == (0, "")
+        blocks = [["x1"], ["x2"], ["x3"], ["x4"]]
+        assert json.loads(out)["trace"]["partitions"]["plain"] == {"x": blocks}
+
     def test_unwritable_emit_cuts_exits_one_before_any_output(self, tmp_path):
         src = tmp_path / "nums.csv"
         src.write_text("a,d\n1,A\n2,A\n7,B\n8,B\n")

@@ -85,6 +85,20 @@ class TestChimergeGoldens:
         assert imap.cut_points == (high,)
         assert [imap.interval_of(low), imap.interval_of(high)] == [0, 1]
 
+    @pytest.mark.parametrize("values, labels", [
+        # "g" prints cuts 1.00000015, 1.0000004 and 1.0000006 as 1, 1 and 1
+        ([1.0, 1.0000003, 1.0000005, 1.0000007],
+         ("(-inf, 1.00000015)", "[1.00000015, 1.0000004)", "[1.0000004, 1.0000006)",
+          "[1.0000006, inf)")),
+        # ... and cuts 123456.1 and 123456.4 as 123456 twice
+        ([123456.0, 123456.2, 123456.6],
+         ("(-inf, 123456.1)", "[123456.1, 123456.4)", "[123456.4, inf)")),
+    ])
+    def test_cuts_that_print_alike_label_by_repr(self, values, labels):
+        imap = chimerge(values, ["a", "b", "a", "b"][:len(values)], threshold=0)
+        assert imap.labels == labels
+        assert len({imap.label_of(v) for v in values}) == len(values)
+
     def test_equal_values_share_an_interval(self):
         imap = chimerge([1, 1, 2, 2], ["A", "B", "A", "B"], threshold=0,
                         max_intervals=4)
@@ -164,6 +178,23 @@ class TestChimergeProperties:
                 above = [v for v in distinct if v > cut]
                 assert below and above
                 assert cut not in distinct
+
+    def test_labels_distinct_for_cuts_a_few_ulps_apart(self):
+        """Every distinct value stays its own interval (alternating classes,
+        threshold 0), and no two of the intervals share a label."""
+        rng = random.Random(61)
+        for _ in range(200):
+            value = rng.choice([1.0, -3.5, 123456.1, 1e-7, 2.5e12]) * rng.uniform(0.5, 2)
+            values = [value]
+            for _ in range(rng.randint(1, 8)):
+                for _ in range(rng.randint(1, 4)):
+                    value = math.nextafter(value, math.inf)
+                values.append(value)
+            labels = ["a", "b"] * 5
+            imap = chimerge(values, labels[:len(values)], threshold=0, max_intervals=9)
+            assert len(imap.labels) == len(values)
+            assert len(set(imap.labels)) == len(imap.labels)
+            assert [imap.interval_of(v) for v in values] == list(range(len(values)))
 
     def test_mapping_is_monotone(self):
         rng = random.Random(58)

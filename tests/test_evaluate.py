@@ -1,6 +1,6 @@
+import dataclasses
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -13,10 +13,8 @@ from rredux import (
     stratified_folds,
 )
 import rredux.evaluate
-import rredux.table
-from rredux.cli import main
 from rredux.evaluate import CLASSIFIERS, FoldPlan, nb_predict, nb_train, nearest_row
-from rredux.table import bitsets, project, row_masks
+from rredux.table import DecisionTable, project, row_masks
 from rredux.jsonout import canonical
 from conftest import make_random_table
 
@@ -227,23 +225,20 @@ class TestCrossValidateAndCompare:
             with pytest.raises(ValueError, match="fold 0 leaves no training"):
                 cross_validate(admissions, FoldPlan(2, (0,) * 8), classifier)
 
-    def test_one_nn_run_builds_each_bitset_once(self, monkeypatch, capsys):
-        """The projection reuses the full table's row masks and the plan's fold
-        bitsets: one ``bitsets`` call per condition column (4) and one for the
-        folds, not a second set for the reduced run."""
-        built = []
+    def test_table_holds_only_its_constructor_fields(self):
+        """Row masks are built per call, not kept on the table or shared
+        with its projections."""
+        assert [f.name for f in dataclasses.fields(DecisionTable)] == [
+            "condition_attrs", "decision_attr", "codes", "domains",
+        ]
 
-        def counted(codes, size):
-            built.append(size)
-            return bitsets(codes, size)
-
-        monkeypatch.setattr(rredux.table, "bitsets", counted)
-        monkeypatch.setattr(rredux.evaluate, "bitsets", counted)
-        numeric = Path(__file__).parent / "data" / "numeric_sample.csv"
-        assert main(["evaluate", "--input", str(numeric), "--classifier", "1nn",
-                     "--folds", "3", "--seed", "0", "--output", "json"]) == 0
-        capsys.readouterr()
-        assert len(built) == 5
+    def test_plan_holds_only_its_constructor_fields(self, admissions):
+        """``cross_validate`` builds the fold bitsets it needs and leaves
+        nothing on the plan."""
+        plan = stratified_folds(admissions, 3, seed=4)
+        for classifier in CLASSIFIERS:
+            cross_validate(admissions, plan, classifier)
+            assert vars(plan) == {"k": 3, "assignments": plan.assignments}
 
     def test_empty_reduct_rejected(self, admissions):
         with pytest.raises(ValueError):
@@ -273,7 +268,7 @@ class TestCrossValidateAndCompare:
         calls = []
 
         def nb(model, values):
-            calls.append(len(values) == len(model.value_counts))
+            calls.append(all(len(values) == len(terms) for _, _, terms in model))
             return nb_predict(model, values)
 
         def nn(masks, train, values):

@@ -1,12 +1,12 @@
 """Cross-validation on per-value row bitsets against the per-fold table
-rebuilds it replaced, kept in ``onenn_oracle``, on generated tables."""
+rebuilds it replaced, kept in ``eval_oracle``, on generated tables."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import onenn_oracle
+import eval_oracle
 from rredux import RawColumn, cross_validate, from_columns, stratified_folds
 from rredux.evaluate import nearest_row
 from rredux.table import row_masks
@@ -53,11 +53,11 @@ def test_cross_validate_matches_oracle(data, k, seed):
     rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
     if table.m == 1:
         # no fold plan fits one row: train on it and predict it instead
-        train = onenn_oracle.subset(table, [0])
+        train = eval_oracle.subset(table, [0])
         assert (table.column("d")[nearest_row(row_masks(table), 1, rows[0])]
-                == onenn_oracle.onenn_predict(train, rows[0]))
+                == eval_oracle.onenn_predict(train, rows[0]))
         return
     plan = stratified_folds(table, min(k, table.m), seed)
     for classifier in ("nb", "1nn"):
         assert (cross_validate(table, plan, classifier)
-                == onenn_oracle.cross_validate(table, plan, classifier))
+                == eval_oracle.cross_validate(table, plan, classifier))

@@ -1,10 +1,11 @@
-"""Column-stored tables and classifiers against the row-major code they
-replaced, kept in ``row_oracle``, on seeded random tables."""
+"""Column-stored tables and classifiers against the row-major code and
+the count-based naive Bayes they replaced, kept in ``eval_oracle``, on
+seeded random tables."""
 
 import random
 from collections import Counter
 
-import row_oracle
+import eval_oracle
 from rredux import RawColumn, cross_validate, from_columns, stratified_folds
 from rredux.evaluate import CLASSIFIERS, nb_predict, nb_train, nearest_row
 from rredux.table import row_masks
@@ -30,11 +31,11 @@ def random_columns(rng, index):
 
 def oracle_predictions(rows, domain_sizes, train, test):
     train_rows = [rows[i] for i in train]
-    model = row_oracle.nb_train(train_rows, domain_sizes)
+    model = eval_oracle.nb_train_rows(train_rows, domain_sizes)
     dec = len(domain_sizes)
     return {
-        "nb": [row_oracle.nb_predict(model, rows[i][:dec]) for i in test],
-        "1nn": [row_oracle.onenn_predict(train_rows, rows[i][:dec]) for i in test],
+        "nb": [eval_oracle.nb_predict(model, rows[i][:dec]) for i in test],
+        "1nn": [eval_oracle.onenn_predict_rows(train_rows, rows[i][:dec]) for i in test],
     }
 
 
@@ -56,14 +57,15 @@ def test_columns_and_classifiers_match_row_oracle():
     for index in range(TABLES):
         columns = random_columns(rng, index)
         table = from_columns(columns, "d")
-        condition, rows, domains = row_oracle.encode_rows(columns, "d")
+        condition, rows, domains = eval_oracle.encode_rows(columns, "d")
         assert table.condition_attrs == condition
         assert table.domains == domains
         names = condition + ("d",)
         assert tuple(zip(*(table.column(a) for a in names))) == rows
 
         sizes = [len(domains[a]) for a in condition]
-        assert nb_train(table, range(table.m)) == row_oracle.nb_train(rows, sizes)
+        assert (eval_oracle.nb_train(table, range(table.m))
+                == eval_oracle.nb_train_rows(rows, sizes))
         # train on every row and predict every row: the only split of one row
         everything = range(table.m)
         assert table_predictions(table, everything, everything) == oracle_predictions(
@@ -87,4 +89,30 @@ def test_columns_and_classifiers_match_row_oracle():
         for name in CLASSIFIERS:
             assert cross_validate(table, plan, name).fold_accuracies == tuple(accuracies[name])
         shapes["cross-validated"] += 1
+    assert min(shapes.values()) >= 10, shapes
+
+
+def test_nb_log_terms_match_count_oracle():
+    """Log terms trained once per fold predict what the per-prediction
+    count model did, including codes unseen in training and classes
+    absent from the training rows."""
+    rng = random.Random(11)
+    shapes = Counter()
+    for index in range(TABLES):
+        table = from_columns(random_columns(rng, index), "d")
+        decisions = table.column("d")
+        train = sorted(rng.sample(range(table.m), rng.randint(1, table.m)))
+        model = nb_train(table, train)
+        oracle = eval_oracle.nb_train(table, train)
+        # every row of the table, then random rows over the whole domains
+        rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
+        sizes = [len(table.domains[a]) for a in table.condition_attrs]
+        rows += [tuple(rng.randrange(n) for n in sizes) for _ in range(20)]
+        for values in rows:
+            assert nb_predict(model, values) == eval_oracle.nb_predict(oracle, values)
+        seen = [{table.column(a)[i] for i in train} for a in table.condition_attrs]
+        shapes["unseen code"] += any(
+            v not in codes for values in rows for v, codes in zip(values, seen)
+        )
+        shapes["absent class"] += len({decisions[i] for i in train}) < len(set(decisions))
     assert min(shapes.values()) >= 10, shapes

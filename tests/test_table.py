@@ -12,9 +12,9 @@ from rredux import (
     from_columns,
     parse_columns,
 )
-from rredux.table import project
+from rredux.table import project, row_masks
 from conftest import make_random_table
-from onenn_oracle import subset
+from eval_oracle import subset
 
 
 def parse_columns_text(text: str, **kwargs):
@@ -195,6 +195,16 @@ class TestProjectAndSubset:
             project(admissions, [])
         with pytest.raises(ValueError, match="'z'"):
             project(admissions, ["z"])
+
+    def test_projection_row_masks_match_its_columns(self, random_tables):
+        for table in random_tables(60, seed=23):
+            attrs = table.condition_attrs[::2]
+            sub = project(table, attrs)
+            assert row_masks(sub) == tuple(
+                tuple(sum(1 << i for i, c in enumerate(sub.column(a)) if c == code)
+                      for code in range(len(sub.domains[a])))
+                for a in attrs
+            )
 
     def test_subset_preserves_ids_and_domains(self, admissions):
         sub = subset(admissions, [1, 4, 6])
