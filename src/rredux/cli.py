@@ -19,7 +19,7 @@ from .discretize import DEFAULT_MAX_INTERVALS, IntervalMap, discretize_columns
 from .discretize import chimerge  # not called here; perfbench/tracer.py rebinds it by name
 from .errors import DataError, UsageError
 from .evaluate import CLASSIFIERS, compare
-from .jsonout import canonical
+from .jsonout import ExactFloat, canonical
 from .partition import consistency
 from .reduct import run_pipeline
 from .table import RawColumn, from_columns, parse_columns
@@ -221,7 +221,8 @@ def cmd_discretize(args) -> int:
     columns, _, maps = _read_columns(args)
     if args.emit_cuts:  # before stdout, so a sidecar that cannot be written leaves it empty
         payload = {
-            attr: {"cut_points": list(imap.cut_points), "labels": list(imap.labels)}
+            attr: {"cut_points": list(map(ExactFloat, imap.cut_points)),
+                   "labels": list(imap.labels)}
             for attr, imap in maps.items()
         }
         with open(args.emit_cuts, "w", encoding="utf-8") as sidecar:

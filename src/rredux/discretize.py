@@ -125,17 +125,16 @@ def default_threshold(n_classes: int) -> float:
 
 
 def _interval_labels(cut_points: Sequence[float]) -> tuple[str, ...]:
-    """One label per interval, pairwise distinct.
+    """One label per interval, each bound its cut exactly.
 
-    Bounds print with ``"g"`` (six significant digits) unless two of the
-    column's cuts would print the same; then every cut prints as its
-    ``repr``, which tells distinct floats apart.
+    A bound prints with ``"g"`` (six significant digits) when that text
+    reads back as the cut, and as the cut's ``repr`` otherwise.  Distinct
+    cuts therefore print differently, and so do the intervals' labels.
     """
     if not cut_points:
         return ("(-inf, inf)",)
     bounds = [format(c, "g") for c in cut_points]
-    if len(set(bounds)) < len(bounds):
-        bounds = list(map(repr, cut_points))
+    bounds = [b if float(b) == c else repr(c) for b, c in zip(bounds, cut_points)]
     labels = [f"(-inf, {bounds[0]})"]
     labels += [f"[{lo}, {hi})" for lo, hi in zip(bounds, bounds[1:])]
     labels.append(f"[{bounds[-1]}, inf)")

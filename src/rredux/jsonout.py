@@ -1,9 +1,10 @@
 """Canonical JSON emission for machine-readable CLI output.
 
 Byte-stable for a given value: single line, keys sorted, every float
-rendered with exactly six decimal places.  The fixed float format is the
-point; the stdlib encoder's shortest-repr floats would make golden files
-churn on any arithmetic reordering.
+rendered with exactly six decimal places, except an ``ExactFloat`` that
+six decimals would round.  The fixed float format is the point; the
+stdlib encoder's shortest-repr floats would make golden files churn on
+any arithmetic reordering.
 
 Everything else already matches the stdlib encoder's default form
 (``", "`` and ``": "`` separators, ``ensure_ascii=False``), so a list or
@@ -25,6 +26,11 @@ _PLAIN = frozenset({str, int, bool, type(None)})
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
+class ExactFloat(float):
+    """A float that ``canonical`` writes with six decimals when they read
+    back as the same float, and as its ``repr`` otherwise."""
+
+
 def canonical(value) -> str:
     """Serialize ``value`` to canonical JSON text (no trailing newline)."""
     if isinstance(value, (list, tuple)):
@@ -44,7 +50,8 @@ def canonical(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return f"{value:.6f}"
+        text = f"{value:.6f}"
+        return repr(value) if type(value) is ExactFloat and float(text) != value else text
     if isinstance(value, str):
         return _encode(value)
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")

@@ -192,9 +192,9 @@ def run_pipeline(table: DecisionTable, trace: bool = False) -> ReductResult:
 
     record = {
         "delta": [
-            {"source": a, "target": b, "factor": mat.factor(a, b)}
-            for a in mat.attrs
-            for b in mat.attrs
+            {"source": a, "target": b, "factor": factor}
+            for a, row in zip(mat.attrs, mat.values)
+            for b, factor in zip(mat.attrs, row)
             if a != b
         ],
         "ass_selected": [_element_json(el) for el in selected.elements],

@@ -107,56 +107,47 @@ class DecisionTable:
             raise ValueError(f"unknown attribute {attr!r}") from None
 
 
-def _records(reader):
-    """The reader's rows, with decoding and csv faults raised as ParseError."""
+def _read_rows(text, delimiter: str, drop_missing: bool) -> tuple[list[str], list[list[str]]]:
+    """Header and the data rows without a missing cell, each checked once as read.
+
+    Faults raise in file order: a structural one (undecodable bytes, a csv
+    error, a ragged row) where it is found, even after a missing cell; then
+    the first missing cell, unless ``drop_missing``; then a table left empty.
+    """
+    reader = csv.reader(text, delimiter=delimiter)
+    rows, missing = [], None  # missing: (line, column) of the first missing cell
     try:
-        yield from reader
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("empty file: no header row")
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise SchemaError(f"duplicate column name {name!r} in header")
+            seen.add(name)
+        for row in reader:
+            if not row:
+                continue  # blank line
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row {reader.line_num}: expected {len(header)} cells, got {len(row)}"
+                )
+            if MISSING_TOKENS.isdisjoint(row):
+                rows.append(row)
+            elif missing is None:
+                column = next(n for n, cell in zip(header, row) if cell in MISSING_TOKENS)
+                missing = (reader.line_num, column)
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise ParseError(f"row {reader.line_num}: {exc}") from None
-
-
-def _read_rows(text, delimiter: str) -> tuple[list[str], list[list[str]], list[int]]:
-    """Header, non-blank data rows, and the physical line each row ends on."""
-    reader = csv.reader(text, delimiter=delimiter)
-    records = _records(reader)
-    header = next(records, None)
-    if header is None:
-        raise SchemaError("empty file: no header row")
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise SchemaError(f"duplicate column name {name!r} in header")
-        seen.add(name)
-    rows, lines = [], []
-    for row in records:
-        if not row:
-            continue  # blank line
-        if len(row) != len(header):
-            raise ParseError(
-                f"row {reader.line_num}: expected {len(header)} cells, got {len(row)}"
-            )
-        rows.append(row)
-        lines.append(reader.line_num)
+    if missing and not drop_missing:
+        raise ValidationError(f"missing value at row {missing[0]}, column {missing[1]!r}")
     if not rows:
+        if missing:
+            raise SchemaError("no data rows left after dropping rows with missing values")
         raise SchemaError("no data rows after header")
-    return header, rows, lines
-
-
-def _apply_missing_policy(header, rows, lines, drop_missing: bool):
-    kept = []
-    for line_num, row in zip(lines, rows):
-        missing = [name for name, cell in zip(header, row) if cell in MISSING_TOKENS]
-        if not missing:
-            kept.append(row)
-        elif not drop_missing:
-            raise ValidationError(
-                f"missing value at row {line_num}, column {missing[0]!r}"
-            )
-    if not kept:
-        raise SchemaError("no data rows left after dropping rows with missing values")
-    return kept
+    return header, rows
 
 
 # A plain decimal or exponent literal in ASCII digits.  float() accepts more
@@ -197,11 +188,8 @@ def parse_columns(
             f" got {delimiter!r}"
         )
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    header, rows, lines = _read_rows(text, delimiter)
+    header, rows = _read_rows(text, delimiter, drop_missing)
     cols = list(zip(*rows))  # one tuple of cells per header column
-    if not all(MISSING_TOKENS.isdisjoint(cells) for cells in cols):
-        rows = _apply_missing_policy(header, rows, lines, drop_missing)
-        cols = list(zip(*rows))
 
     decision = header[-1] if decision_col is None else decision_col
     if decision not in header:

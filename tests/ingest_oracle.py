@@ -1,10 +1,12 @@
 """Row-at-a-time CSV ingestion kept as a differential oracle.
 
 These are ``rredux.table``'s ingestion functions as they were before
-the table was built a column at a time: rows carry their line numbers as
-``(line_num, row)`` tuples, the missing-value policy runs on every row,
-each column is gathered row by row, and codes come from a ``setdefault``
-encoder.  ``tests/test_ingest_oracle.py`` checks ``parse_columns`` and
+the table was built a column at a time and before each row was read in
+one loop: a generator turns decoding and csv faults into ``ParseError``,
+rows carry their line numbers as ``(line_num, row)`` tuples, the
+missing-value policy runs over every row in a second pass, each column is
+gathered row by row, and codes come from a ``setdefault`` encoder.
+``tests/test_ingest_oracle.py`` checks ``parse_columns`` and
 ``from_columns`` against them.
 """
 
@@ -23,8 +25,17 @@ from rredux.table import (
     RawColumn,
     _looks_real,
     _parse_finite,
-    _records,
 )
+
+
+def _records(reader):
+    """The reader's rows, with decoding and csv faults raised as ParseError."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
 
 
 def _read_rows(text, delimiter: str) -> tuple[list[str], list[tuple[int, list[str]]]]:

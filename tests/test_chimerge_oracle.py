@@ -1,5 +1,8 @@
 """The heap ChiMerge against the full-rescan loop it replaced, kept in
-``chimerge_oracle``, on generated tie-heavy columns."""
+``chimerge_oracle``, on generated tie-heavy columns; and ChiMerge's
+labels, which state their cuts exactly."""
+
+import math
 
 import pytest
 
@@ -33,3 +36,30 @@ def test_heap_merge_matches_full_rescan(column, threshold, cap):
     want = chimerge_oracle.chimerge(values, labels, threshold, cap, attr="a")
     assert got.cut_points == want.cut_points
     assert got.labels == want.labels
+
+
+@st.composite
+def close_values(draw):
+    """2-9 ascending values from a random start, each one to three ulps or
+    a decimal step above the last, so some cuts round under "g"."""
+    values = [draw(st.floats(-1e15, 1e15))]
+    for _ in range(draw(st.integers(1, 8))):
+        step = draw(st.sampled_from([0, 0, 1e-7, 0.1, 1000.3]))
+        nudged = values[-1]
+        for _ in range(draw(st.integers(1, 3))):
+            nudged = math.nextafter(nudged, math.inf)
+        values.append(max(nudged, values[-1] + step))
+    return values
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(values=close_values())
+def test_every_label_bound_reads_back_as_its_cut(values):
+    # alternating classes and threshold 0 keep every value its own interval
+    classes = [("a", "b")[i % 2] for i in range(len(values))]
+    imap = chimerge(values, classes, threshold=0, max_intervals=len(values))
+    bounds = [label[1:-1].split(", ") for label in imap.labels]
+    assert bounds[0][0] == "-inf" and bounds[-1][1] == "inf"
+    assert [float(hi) for _, hi in bounds[:-1]] == list(imap.cut_points)
+    assert [float(lo) for lo, _ in bounds[1:]] == list(imap.cut_points)
+    assert len(set(imap.labels)) == len(imap.labels) == len(values)

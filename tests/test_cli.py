@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -233,11 +234,15 @@ class TestReduct:
 
     def test_non_utf8_input_exits_one(self, tmp_path):
         src = tmp_path / "latin1.csv"
-        src.write_bytes(b"a,d\n\xff,yes\n2,no\n")
-        code, out, err = run_cli("reduct", "--input", str(src))
-        assert code == 1
-        assert out == ""
-        assert "UTF-8" in err
+        # the second file's bad byte lies beyond the first 8 KiB decoded, so
+        # the missing cell in its first row is read before it, and loses
+        for data in (b"a,d\n\xff,yes\n2,no\n",
+                     b"a,d\n?,yes\n" + b"u,no\n" * 4000 + b"\xff,no\n"):
+            src.write_bytes(data)
+            code, out, err = run_cli("reduct", "--input", str(src))
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: input is not UTF-8 text")
 
     def test_oversized_field_exits_one_without_traceback(self, tmp_path):
         src = tmp_path / "huge.csv"
@@ -337,10 +342,14 @@ class TestDiscretize:
             }
         }
 
+    # the cut is the midpoint 12.350000000000001, or else the higher value;
+    # neither "g" nor six decimals can write the first two exactly
     @pytest.mark.parametrize("low, high, labels", [
-        ("1.0", "1.0000000000000002", ["(-inf, 1)", "[1, inf)"]),
+        ("1.0", "1.0000000000000002",
+         ["(-inf, 1.0000000000000002)", "[1.0000000000000002, inf)"]),
         ("1.7e308", "1.79e308", ["(-inf, 1.79e+308)", "[1.79e+308, inf)"]),
-    ], ids=["adjacent-floats", "midpoint-overflows"])
+        ("12.3", "12.4", ["(-inf, 12.350000000000001)", "[12.350000000000001, inf)"]),
+    ], ids=["adjacent-floats", "midpoint-overflows", "midpoint-an-ulp-off"])
     def test_emit_cuts_where_the_midpoint_fails(self, tmp_path, low, high, labels):
         src = tmp_path / "nums.csv"
         src.write_text("a,d\n" + f"{low},x\n" * 3 + f"{high},y\n" * 3)
@@ -351,7 +360,12 @@ class TestDiscretize:
         )
         assert (code, err) == (0, "")
         assert out == "a,d\n" + f'"{labels[0]}",x\n' * 3 + f'"{labels[1]}",y\n' * 3
-        assert json.loads(sidecar.read_text())["a"]["labels"] == labels
+        cuts = json.loads(sidecar.read_text())["a"]
+        assert cuts["labels"] == labels
+        assert cuts["cut_points"] == [float(labels[1][1:-len(", inf)")])]
+        # the sidecar's cuts, applied lower-inclusively, give back the labels
+        assert [cuts["labels"][bisect_right(cuts["cut_points"], float(v))]
+                for v in (low, high)] == labels
 
     def test_intervals_six_digits_cannot_tell_apart_keep_their_own_label(self, tmp_path):
         src = tmp_path / "close.csv"
