@@ -48,6 +48,12 @@ def random_tables():
     return stream
 
 
+def factor_of(mat, source: str, target: str) -> float:
+    """The factor of ``source`` toward ``target``, read from ``mat.values``
+    by the two attributes' positions in ``mat.attrs``."""
+    return mat.values[mat.attrs.index(source)][mat.attrs.index(target)]
+
+
 def block_sets(blocks) -> frozenset:
     """Order-insensitive view of a partition for set-equality asserts."""
     return frozenset(frozenset(block) for block in blocks)

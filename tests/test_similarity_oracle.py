@@ -1,5 +1,5 @@
-"""The similarity matrix on integer cell keys against the tuple-keyed joint
-count it replaced, kept in ``joint_count_oracle``, and against the
+"""The similarity matrix against the tuple-keyed joint count that integer
+cell keys replaced, kept in ``joint_count_oracle``, and against the
 member-count factor before that, kept in ``member_count_oracle``, on
 generated decision tables;
 the member count against the block-pair intersection it replaced in turn,

@@ -115,6 +115,11 @@ class TestParseCsv:
         table = parse_text("a;d\nu;yes\n", delimiter=";")
         assert table.condition_attrs == ("a",)
 
+    def test_equal_cells_of_a_column_are_one_object(self):
+        text = "a,b,d\nxyz,1,yes\nxyz,22,no\nuvw,1,yes\nxyz,22,yes\n"
+        for col in parse_columns_text(text)[0]:
+            assert len(set(map(id, col.cells))) == len(set(col.cells)), col.name
+
     def test_row_permutation_permutes_objects_only(self):
         base = "a,b,d\nu,p,yes\nv,q,no\nw,p,yes\n"
         lines = base.strip().split("\n")
