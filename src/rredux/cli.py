@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_red = sub.add_parser("reduct", parents=[shared, report],
                            help="compute the single reduct of the table")
-    p_red.set_defaults(func=cmd_reduct)
+    p_red.set_defaults(func=_report)
 
     p_eval = sub.add_parser("evaluate", parents=[shared, report],
                             help="cross-validate full vs. reduced attribute sets")
@@ -211,10 +211,6 @@ def _report(args, seed: int | None = None) -> int:
         lines.append(f"delta (reduced - full): {full.delta:.6f}")
     print("\n".join(lines))
     return 0
-
-
-def cmd_reduct(args) -> int:
-    return _report(args)
 
 
 def cmd_discretize(args) -> int:

@@ -66,7 +66,6 @@ class IntervalMap:
     so every real value maps to exactly one of the ``labels``.
     """
 
-    attr: str
     cut_points: tuple[float, ...]
     labels: tuple[str, ...]
 
@@ -146,7 +145,6 @@ def chimerge(
     labels: Sequence[Hashable],
     threshold: float | None = None,
     max_intervals: int = DEFAULT_MAX_INTERVALS,
-    attr: str = "",
 ) -> IntervalMap:
     """Merge per-value intervals bottom-up by minimal chi-square.
 
@@ -167,22 +165,19 @@ def chimerge(
         if not math.isfinite(v):
             raise ValidationError(f"non-finite value {v!r} in numeric column")
 
-    classes: dict[Hashable, int] = {}
-    for lab in labels:
-        if lab not in classes:
-            classes[lab] = len(classes)
+    classes = {lab: c for c, lab in enumerate(dict.fromkeys(labels))}
     if threshold is None:
         threshold = default_threshold(len(classes))
     if not threshold >= 0:  # NaN too: no statistic is below it
         raise ValueError("threshold must be non-negative")
 
     # one interval per distinct value, ascending, named by the index of its
-    # lowest value; merging keeps the left name, so names order intervals
+    # lowest value; merging keeps the left name, so names order intervals,
+    # and interval i holds the values low[i] <= v < low[after[i]]
     grouped: dict[float, list[int]] = {}
     for v, lab in zip(values, labels):
         grouped.setdefault(v, [0] * len(classes))[classes[lab]] += 1
     low = sorted(grouped)
-    high = low[:]
     counts = [grouped[v] for v in low]
     after: list[int | None] = [*range(1, len(low)), None]
     before: list[int | None] = [None, *range(len(low) - 1)]
@@ -204,7 +199,6 @@ def chimerge(
         heapq.heappop(heap)
         j = after[i]
         counts[i] = [a + b for a, b in zip(counts[i], counts[j])]
-        high[i] = high[j]
         after[i] = k = after[j]
         stat[i] = stat[j] = None
         remaining -= 1
@@ -218,14 +212,15 @@ def chimerge(
             heapq.heappush(heap, (stat[h], h))
 
     cuts: list[float] = []
-    i, j = 0, after[0]
+    j = after[0]
     while j is not None:
-        # the midpoint, unless rounding (adjacent floats) or overflow puts it
-        # outside (high, low]; intervals are lower-inclusive, so low will do
-        cut = (high[i] + low[j]) / 2
-        cuts.append(cut if high[i] < cut <= low[j] else low[j])
-        i, j = j, after[j]
-    return IntervalMap(attr, tuple(cuts), _interval_labels(cuts))
+        # the midpoint of interval j's lowest value and the top value before
+        # it, unless rounding (adjacent floats) or overflow puts it outside
+        # (low[j - 1], low[j]]; intervals are lower-inclusive, so low[j] will do
+        cut = (low[j - 1] + low[j]) / 2
+        cuts.append(cut if low[j - 1] < cut <= low[j] else low[j])
+        j = after[j]
+    return IntervalMap(tuple(cuts), _interval_labels(cuts))
 
 
 def discretize_columns(
@@ -253,9 +248,7 @@ def discretize_columns(
         if col.kind != NUMERIC:
             converted.append(col)
             continue
-        imap = chimerge(
-            col.cells, decision.cells, threshold, max_intervals, attr=col.name
-        )
+        imap = chimerge(col.cells, decision.cells, threshold, max_intervals)
         maps[col.name] = imap
         converted.append(
             RawColumn(col.name, CATEGORICAL, tuple(imap.label_of(v) for v in col.cells))

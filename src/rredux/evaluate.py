@@ -210,10 +210,7 @@ def compare(
     Returns (full, reduced) reports, each carrying the reduced-minus-full
     mean-accuracy delta.
     """
-    attrs = tuple(reduct)
-    if not attrs:
-        raise ValueError("reduct must be non-empty")
-    reduced_table = project(table, attrs)
+    reduced_table = project(table, reduct)
     plan = stratified_folds(table, k, seed)
     full = cross_validate(table, plan, classifier)
     reduced = cross_validate(reduced_table, plan, classifier)

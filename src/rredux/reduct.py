@@ -56,7 +56,8 @@ class SimilaritySet:
 
 @dataclass(frozen=True)
 class ReductResult:
-    """The reduct plus the complete stage-by-stage trace.
+    """The reduct plus a trace: ``sin_red_gen`` records its iterations, and
+    ``run_pipeline`` the complete stage-by-stage record.
 
     No attribute appears twice in ``reduct``; ``sin_red_gen`` rejects the
     inputs that would repeat one.
@@ -126,7 +127,8 @@ def sin_red_gen(ass: SimilaritySet, all_attrs: tuple[str, ...]) -> ReductResult:
     (ties go to the left that comes first in ``all_attrs``), admits its
     left to the reduct, and deletes every element whose left appears in
     the selected right-hand side.  Attributes mentioned nowhere in the
-    compound set are appended afterwards as isolated attributes.
+    compound set are appended afterwards as isolated attributes.  The
+    trace holds the iterations only: their selections and deletions.
     """
     order = {a: k for k, a in enumerate(all_attrs)}
     # either repeat would put an attribute in the reduct twice
@@ -155,13 +157,7 @@ def sin_red_gen(ass: SimilaritySet, all_attrs: tuple[str, ...]) -> ReductResult:
     isolated = tuple(a for a in all_attrs if a not in mentioned)
     reduct.extend(isolated)
 
-    trace = {
-        "ass_compound": [_element_json(el) for el in ass.elements],
-        "iterations": iterations,
-        "reduct": list(reduct),
-        "isolated": list(isolated),
-    }
-    return ReductResult(tuple(reduct), isolated, trace)
+    return ReductResult(tuple(reduct), isolated, {"iterations": iterations})
 
 
 def _element_json(el: SimilarityElement) -> dict:
@@ -200,7 +196,10 @@ def run_pipeline(table: DecisionTable, trace: bool = False) -> ReductResult:
         "ass_selected": [_element_json(el) for el in selected.elements],
         "avg_factor": selected.avg_factor,
         "ass_filtered": [_element_json(el) for el in filtered.elements],
-        **result.trace,
+        "ass_compound": [_element_json(el) for el in compound.elements],
+        "iterations": result.trace["iterations"],
+        "reduct": list(result.reduct),
+        "isolated": list(result.isolated),
     }
     if trace:
         ids = [f"x{i + 1}" for i in range(table.m)]

@@ -70,12 +70,9 @@ def exact_mean(ratios: Iterable[tuple[int, int]]) -> float:
     """Mean of n / s over the (n, s) integer pairs, s > 0, in integers over
     the least common denominator and rounded once: the float nearest the
     exact mean, so for shares n <= s it is 1.0 iff every n equals its s."""
-    sums, count = Counter(), 0  # denominator -> summed numerators
-    for n, s in ratios:
-        sums[s] += n
-        count += 1
-    common = math.lcm(*sums)
-    return sum(n * (common // s) for s, n in sums.items()) / (common * count)
+    ratios = list(ratios)
+    common = math.lcm(*(s for _, s in ratios))
+    return sum(n * (common // s) for n, s in ratios) / (common * len(ratios))
 
 
 # The largest domain whose row masks ``matrix`` builds: per attribute 256

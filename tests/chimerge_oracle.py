@@ -26,7 +26,6 @@ def chimerge(
     labels: Sequence[Hashable],
     threshold: float | None = None,
     max_intervals: int = DEFAULT_MAX_INTERVALS,
-    attr: str = "",
 ) -> IntervalMap:
     """Merge per-value intervals bottom-up by minimal chi-square.
 
@@ -77,4 +76,4 @@ def chimerge(
     cuts = tuple(
         (intervals[i][1] + intervals[i + 1][0]) / 2 for i in range(len(intervals) - 1)
     )
-    return IntervalMap(attr, cuts, _interval_labels(cuts))
+    return IntervalMap(cuts, _interval_labels(cuts))

@@ -7,7 +7,7 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import chimerge_oracle
 from rredux import chimerge
@@ -25,15 +25,33 @@ def tie_heavy_columns(draw):
     return values, [f"c{c}" for c in labels]
 
 
+def _merged_then(lows, top, above):
+    """Three rows of each of ``lows`` and ``top`` in one class, then three of
+    ``above`` in another: at threshold 3.84 the first class merges into one
+    interval whose top value is ``top``, and the cut falls below ``above``."""
+    values = [v for v in (*lows, top, above) for _ in range(3)]
+    return values, ["a"] * (len(values) - 3) + ["b"] * 3
+
+
+# The oracle takes the bare midpoint, so these keep it inside (top, above];
+# the cases where it falls outside are pinned in ``test_discretize``.
+_TWO_ULPS_ABOVE_2 = math.nextafter(math.nextafter(2.0, 3), 3)
+
+
 @settings(max_examples=500, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
+# a merged interval that ends one ulp below the next value
+@example(column=_merged_then((1.0, 1.5), math.nextafter(2.0, 3), _TWO_ULPS_ABOVE_2),
+         threshold=3.84, cap=6)
+# a pair whose sum is near the largest float, 1.797e308
+@example(column=_merged_then((8.0e307,), 8.9e307, 8.98e307), threshold=3.84, cap=6)
 @given(column=tie_heavy_columns(),
        threshold=st.sampled_from([None, 0, 1, 3.84, 100]),
        cap=st.integers(1, 8))
 def test_heap_merge_matches_full_rescan(column, threshold, cap):
     values, labels = column
-    got = chimerge(values, labels, threshold, cap, attr="a")
-    want = chimerge_oracle.chimerge(values, labels, threshold, cap, attr="a")
+    got = chimerge(values, labels, threshold, cap)
+    want = chimerge_oracle.chimerge(values, labels, threshold, cap)
     assert got.cut_points == want.cut_points
     assert got.labels == want.labels
 

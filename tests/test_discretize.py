@@ -85,6 +85,19 @@ class TestChimergeGoldens:
         assert imap.cut_points == (high,)
         assert [imap.interval_of(low), imap.interval_of(high)] == [0, 1]
 
+    @pytest.mark.parametrize("lowest, top, above", [
+        (1.0, 2.0, math.nextafter(2.0, 3)),  # the midpoint rounds onto top
+        (1.6e308, 1.7e308, 1.79e308),  # the midpoint overflows to inf
+        (-1.79e308, -1.75e308, -1.7e308),  # ... or to -inf
+    ])
+    def test_cut_after_a_merged_interval_separates_its_top_value(self, lowest, top, above):
+        # lowest and top merge into one interval; its top value, not its
+        # lowest, is the neighbour the cut must stay above
+        imap = chimerge([lowest] * 3 + [top] * 3 + [above] * 3, ["x"] * 6 + ["y"] * 3,
+                        threshold=3.84)
+        assert imap.cut_points == (above,)
+        assert [imap.interval_of(v) for v in (lowest, top, above)] == [0, 0, 1]
+
     @pytest.mark.parametrize("values, labels", [
         # "g" prints cuts 1.00000015, 1.0000004 and 1.0000006 as 1, 1 and 1
         ([1.0, 1.0000003, 1.0000005, 1.0000007],
@@ -211,11 +224,11 @@ class TestChimergeProperties:
 class TestIntervalMap:
     def test_cuts_must_increase(self):
         with pytest.raises(ValueError):
-            IntervalMap("a", (2.0, 1.0), ("x", "y", "z"))
+            IntervalMap((2.0, 1.0), ("x", "y", "z"))
 
     def test_label_count_checked(self):
         with pytest.raises(ValueError):
-            IntervalMap("a", (1.0,), ("x",))
+            IntervalMap((1.0,), ("x",))
 
 
 class TestDiscretizeColumns:

@@ -181,6 +181,12 @@ class TestSinRedGen:
         assert result.isolated == ("i", "e")
         assert result.trace["iterations"] == [{"selected": "r", "deleted": []}]
 
+    def test_trace_holds_the_iterations_alone(self, admissions):
+        # run_pipeline writes the compound set, reduct and isolated itself
+        compound = comp_sim(ass_gen(matrix(admissions)))
+        result = sin_red_gen(compound, admissions.condition_attrs)
+        assert result.trace == {"iterations": [{"selected": "r", "deleted": []}]}
+
     def test_single_compound_element(self):
         compound = SimilaritySet((SimilarityElement("a", ("b", "c")),))
         result = sin_red_gen(compound, ("a", "b", "c"))
@@ -245,6 +251,12 @@ class TestRunPipeline:
         assert trace["reduct"] == ["r", "i", "e"]
         assert trace["isolated"] == ["i", "e"]
         assert set(trace["partitions"]) == {"decision", "plain", "relative"}
+
+    def test_trace_keys_in_stage_order(self, admissions):
+        stages = ["delta", "ass_selected", "avg_factor", "ass_filtered", "ass_compound",
+                  "iterations", "reduct", "isolated"]
+        assert list(run_pipeline(admissions).trace) == stages
+        assert list(run_pipeline(admissions, trace=True).trace) == stages + ["partitions"]
 
     def test_untraced_trace_is_full_trace_minus_partitions(self, admissions):
         rng = random.Random(41)

@@ -4,7 +4,8 @@ member-count factor before that, kept in ``member_count_oracle``, on
 generated decision tables;
 the member count against the block-pair intersection it replaced in turn,
 kept in ``similarity_oracle``, on generated partition pairs; and the
-integer mean against the ``Fraction`` sum it replaced."""
+integer mean against the ``Fraction`` sum it replaced and against the
+per-denominator ``Counter`` sum after that, kept in ``exact_mean_oracle``."""
 
 import random
 
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fractions import Fraction
 
+import exact_mean_oracle
 import joint_count_oracle
 import member_count_oracle
 import similarity_oracle
@@ -128,6 +130,32 @@ def test_matrix_matches_member_count_oracle(table):
 def test_exact_mean_matches_fraction_sum(factors):
     exact = float(sum(map(Fraction, factors)) / len(factors))
     assert exact_mean(f.as_integer_ratio() for f in factors) == exact
+
+
+@st.composite
+def count_pairs(draw):
+    """1-300 integer shares (n, s) with 1 <= s <= 10^5 and 0 <= n <= s.
+    Half the draws take every s from a pool of 1-5
+    values, so denominators repeat; the other half draw them afresh."""
+    size = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        denominators = st.sampled_from(
+            draw(st.lists(st.integers(1, 10**5), min_size=1, max_size=5)))
+    else:
+        denominators = st.integers(1, 10**5)
+    sizes = draw(st.lists(denominators, min_size=size, max_size=size))
+    return [(draw(st.integers(0, s)), s) for s in sizes]
+
+
+@settings(max_examples=300, **SETTINGS)
+@example(pairs=[(1, 1)])
+@example(pairs=[(s, s) for s in range(1, 25)])
+@example(pairs=[(1, 99991), (99990, 99991), (1, 99989), (7, 100000)])
+@given(pairs=count_pairs())
+def test_exact_mean_matches_counter_sum_and_fraction_mean(pairs):
+    got = exact_mean(iter(pairs))
+    assert got == exact_mean_oracle.exact_mean(iter(pairs))
+    assert got == float(sum(Fraction(n, s) for n, s in pairs) / len(pairs))
 
 
 @st.composite
