@@ -181,7 +181,8 @@ def _report(args, seed: int | None = None) -> int:
     payload = {"reduct": list(result.reduct), "isolated": list(result.isolated)}
     if seed is not None:
         full, reduced = compare(table, result.reduct, args.folds, seed, args.classifier)
-        payload.update(classifier=args.classifier, folds=args.folds, seed=seed, delta=full.delta)
+        delta = reduced.mean_accuracy - full.mean_accuracy
+        payload.update(classifier=args.classifier, folds=args.folds, seed=seed, delta=delta)
         for name, report, consist in (
             ("full", full, consistency(table)),
             ("reduced", reduced, consistency(table, result.reduct)),
@@ -208,7 +209,7 @@ def _report(args, seed: int | None = None) -> int:
             rows.append([name, _attr_list(entry["attrs"]), f"{entry['mean_accuracy']:.6f}",
                          f"{entry['consistency']:.6f}"])
         lines += _render_aligned(rows)
-        lines.append(f"delta (reduced - full): {full.delta:.6f}")
+        lines.append(f"delta (reduced - full): {delta:.6f}")
     print("\n".join(lines))
     return 0
 

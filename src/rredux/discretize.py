@@ -234,6 +234,8 @@ def discretize_columns(
     Returns the columns in their given order, all categorical, with each
     numeric column replaced by its interval labels, plus the interval map
     used for each numeric column.  Categorical columns pass through as is.
+    Each domain value is labelled once; the labels keep the order of the
+    values they first label, and the codes follow them.
     """
     by_name = {c.name: c for c in columns}
     if decision_attr not in by_name:
@@ -250,7 +252,10 @@ def discretize_columns(
             continue
         imap = chimerge(col.cells, decision.cells, threshold, max_intervals)
         maps[col.name] = imap
-        converted.append(
-            RawColumn(col.name, CATEGORICAL, tuple(imap.label_of(v) for v in col.cells))
-        )
+        labels = list(map(imap.label_of, col.domain))
+        index = {label: k for k, label in enumerate(dict.fromkeys(labels))}
+        # keyed by old code, so a code outside the domain raises KeyError
+        relabel = dict(enumerate(map(index.__getitem__, labels)))
+        codes = tuple(map(relabel.__getitem__, col.codes))
+        converted.append(RawColumn(col.name, CATEGORICAL, tuple(index), codes))
     return converted, maps

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
@@ -49,16 +49,13 @@ class EvalReport:
     """Accuracy of one classifier on one attribute set.
 
     ``cross_validate`` builds it: one accuracy in [0, 1] per fold, and
-    ``mean_accuracy`` is their sum over the fold count.  ``delta`` is the
-    reduced-minus-full mean accuracy of the comparison this report
-    belongs to, or None for a standalone run.
+    ``mean_accuracy`` is their sum over the fold count.
     """
 
     classifier: str
     attrs: tuple[str, ...]
     fold_accuracies: tuple[float, ...]
     mean_accuracy: float
-    delta: float | None = None
 
 
 def stratified_folds(table: DecisionTable, k: int, seed: int) -> FoldPlan:
@@ -207,12 +204,10 @@ def compare(
 ) -> tuple[EvalReport, EvalReport]:
     """Evaluate the full table and its projection on identical folds.
 
-    Returns (full, reduced) reports, each carrying the reduced-minus-full
-    mean-accuracy delta.
+    Returns the (full, reduced) reports.
     """
     reduced_table = project(table, reduct)
     plan = stratified_folds(table, k, seed)
     full = cross_validate(table, plan, classifier)
     reduced = cross_validate(reduced_table, plan, classifier)
-    delta = reduced.mean_accuracy - full.mean_accuracy
-    return replace(full, delta=delta), replace(reduced, delta=delta)
+    return full, reduced

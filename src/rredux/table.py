@@ -5,14 +5,14 @@ attributes plus one categorical decision attribute.  Cell values are
 stored as dense integer codes assigned in first-appearance order, so
 downstream partitioning and traces are deterministic for a given input.
 
-Ingestion is ``parse_columns`` (typed :class:`RawColumn` staging data),
+Ingestion is ``parse_columns`` (typed :class:`RawColumn` codes, as read),
 then ``discretize.discretize_columns`` (numeric columns to ChiMerge
-labels), then ``from_columns`` (the encoded table).  A column counts
+labels), then ``from_columns`` (the table).  A column counts
 as numeric only when explicitly flagged, or when every cell is a plain
 finite number literal (``_NUMBER``) and at least one cell is written in
 real form (contains a decimal point or exponent).  Integer-only columns
 are ambiguous -- they are just as often category codes -- and default to
-categorical.
+categorical.  Typing reads each distinct cell text once.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import io
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import takewhile
 from typing import BinaryIO, Iterable, Sequence
@@ -35,25 +36,27 @@ NUMERIC = "numeric"
 
 @dataclass(frozen=True)
 class RawColumn:
-    """A parsed but not yet encoded column.
+    """A parsed column: its distinct values and one code per object.
 
-    ``cells`` are strings for categorical columns and finite floats for
-    numeric ones; missing values have already been rejected or dropped.
+    ``domain`` has one entry per distinct cell text in first-appearance
+    order: the text, or for a numeric column its float (so ``"1.0"`` and
+    ``"1.00"`` are two entries of one value).  ``codes`` index into it, one
+    per object; missing values have already been rejected or dropped.
     """
 
     name: str
     kind: str
-    cells: tuple
+    domain: tuple
+    codes: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, NUMERIC):
             raise ValueError(f"unknown column kind {self.kind!r}")
-        if self.kind == NUMERIC:
-            for cell in self.cells:
-                if not isinstance(cell, float) or not math.isfinite(cell):
-                    raise ValidationError(
-                        f"column {self.name!r}: non-finite numeric cell {cell!r}"
-                    )
+
+    @property
+    def cells(self) -> tuple:
+        """Each object's value, in object order."""
+        return tuple(map(self.domain.__getitem__, self.codes))
 
 
 @dataclass(frozen=True)
@@ -107,18 +110,17 @@ class DecisionTable:
             raise ValueError(f"unknown attribute {attr!r}") from None
 
 
-def _read_rows(text, delimiter: str, drop_missing: bool) -> tuple[list[str], list[list[str]]]:
-    """Header and the data rows without a missing cell, each checked once as read.
+def _read_rows(text, delimiter: str, drop_missing: bool) -> tuple[list, list, list]:
+    """Header, per column a dict of text -> code, and each kept row's codes.
 
     Faults raise in file order: a structural one (undecodable bytes, a csv
     error, a ragged row) where it is found, even after a missing cell; then
     the first missing cell, unless ``drop_missing``; then a table left empty.
-    Equal cells of the kept rows are one ``str`` object, so the rows hold
-    one string per distinct cell text rather than one per cell.
+    Every row is checked once as read.  Codes follow first appearance, and
+    a row with a missing cell is skipped unencoded, so its texts enter no dict.
     """
     reader = csv.reader(text, delimiter=delimiter)
     rows, missing = [], None  # missing: (line, column) of the first missing cell
-    memo = {}  # cell text -> the first str read with that text
     try:
         header = next(reader, None)
         if header is None:
@@ -128,6 +130,9 @@ def _read_rows(text, delimiter: str, drop_missing: bool) -> tuple[list[str], lis
             if name in seen:
                 raise SchemaError(f"duplicate column name {name!r} in header")
             seen.add(name)
+        domains = [defaultdict() for _ in header]
+        for domain in domains:
+            domain.default_factory = domain.__len__  # a new text gets the next code
         for row in reader:
             if not row:
                 continue  # blank line
@@ -136,7 +141,7 @@ def _read_rows(text, delimiter: str, drop_missing: bool) -> tuple[list[str], lis
                     f"row {reader.line_num}: expected {len(header)} cells, got {len(row)}"
                 )
             if MISSING_TOKENS.isdisjoint(row):
-                rows.append(list(map(memo.setdefault, row, row)))
+                rows.append(list(map(dict.__getitem__, domains, row)))
             elif missing is None:
                 column = next(n for n, cell in zip(header, row) if cell in MISSING_TOKENS)
                 missing = (reader.line_num, column)
@@ -150,7 +155,7 @@ def _read_rows(text, delimiter: str, drop_missing: bool) -> tuple[list[str], lis
         if missing:
             raise SchemaError("no data rows left after dropping rows with missing values")
         raise SchemaError("no data rows after header")
-    return header, rows
+    return header, domains, rows
 
 
 # A plain decimal or exponent literal in ASCII digits.  float() accepts more
@@ -191,8 +196,7 @@ def parse_columns(
             f" got {delimiter!r}"
         )
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    header, rows = _read_rows(text, delimiter, drop_missing)
-    cols = list(zip(*rows))  # one tuple of cells per header column
+    header, domains, rows = _read_rows(text, delimiter, drop_missing)
 
     decision = header[-1] if decision_col is None else decision_col
     if decision not in header:
@@ -205,33 +209,32 @@ def parse_columns(
         raise UsageError(f"decision column {decision!r} cannot be numeric")
 
     columns: list[RawColumn] = []
-    for name, cells in zip(header, cols):
+    # the first text that is not a number is also the first such cell in the file
+    for name, texts, codes in zip(header, map(tuple, domains), zip(*rows)):
         if name == decision:
-            columns.append(RawColumn(name, CATEGORICAL, cells))
+            columns.append(RawColumn(name, CATEGORICAL, texts, codes))
             continue
-        parsed = list(takewhile(lambda v: v is not None, map(_parse_finite, cells)))
-        all_number = len(parsed) == len(cells)
+        parsed = list(takewhile(lambda v: v is not None, map(_parse_finite, texts)))
+        all_number = len(parsed) == len(texts)
         if name in flagged:
             if not all_number:
-                bad = cells[len(parsed)]
+                bad = texts[len(parsed)]
                 raise ValidationError(
                     f"column {name!r} flagged numeric but cell {bad!r} is not a finite number"
                 )
             numeric = True
         else:
-            numeric = all_number and any(_looks_real(c) for c in cells)
+            numeric = all_number and any(map(_looks_real, texts))
         if numeric:
-            columns.append(RawColumn(name, NUMERIC, tuple(parsed)))
+            columns.append(RawColumn(name, NUMERIC, tuple(parsed), codes))
         else:
-            columns.append(RawColumn(name, CATEGORICAL, cells))
+            columns.append(RawColumn(name, CATEGORICAL, texts, codes))
     return columns, decision
 
 
 def from_columns(columns: Sequence[RawColumn], decision_attr: str) -> DecisionTable:
-    """Encode all-categorical columns into a decision table.
-
-    Category codes are dense integers in first-appearance order.
-    """
+    """The decision table of all-categorical columns, each column's codes
+    and domain as they are."""
     by_name = {c.name: c for c in columns}
     if decision_attr not in by_name:
         raise ValueError(f"decision column {decision_attr!r} not among columns")
@@ -242,13 +245,8 @@ def from_columns(columns: Sequence[RawColumn], decision_attr: str) -> DecisionTa
     if not condition:
         raise SchemaError("no condition attributes besides the decision column")
     ordered = [by_name[a] for a in condition] + [by_name[decision_attr]]
-
-    domains: dict[str, tuple[str, ...]] = {}
-    codes: dict[str, tuple[int, ...]] = {}
-    for col in ordered:
-        index = {cell: k for k, cell in enumerate(dict.fromkeys(col.cells))}
-        codes[col.name] = tuple(map(index.__getitem__, col.cells))
-        domains[col.name] = tuple(index)
+    codes = {col.name: col.codes for col in ordered}
+    domains = {col.name: col.domain for col in ordered}
     return DecisionTable(condition, decision_attr, codes, domains)
 
 

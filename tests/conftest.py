@@ -14,6 +14,13 @@ def admissions() -> DecisionTable:
         return from_columns(*parse_columns(f))
 
 
+def raw_column(name: str, kind: str, cells) -> RawColumn:
+    """The column of ``cells``: their distinct values in first-appearance
+    order as the domain, and one code per cell."""
+    index = {cell: k for k, cell in enumerate(dict.fromkeys(cells))}
+    return RawColumn(name, kind, tuple(index), tuple(map(index.__getitem__, cells)))
+
+
 def make_random_table(
     rng: random.Random,
     max_m: int = 12,
@@ -29,10 +36,10 @@ def make_random_table(
     for a in range(n_attrs):
         arity = rng.randint(1, max_values)
         cells = tuple(f"v{rng.randrange(arity)}" for _ in range(m))
-        columns.append(RawColumn(f"a{a}", "categorical", cells))
+        columns.append(raw_column(f"a{a}", "categorical", cells))
     arity = rng.randint(1, max_classes)
     columns.append(
-        RawColumn("d", "categorical", tuple(f"c{rng.randrange(arity)}" for _ in range(m)))
+        raw_column("d", "categorical", tuple(f"c{rng.randrange(arity)}" for _ in range(m)))
     )
     return from_columns(columns, "d")
 

@@ -7,7 +7,8 @@ rows carry their line numbers as ``(line_num, row)`` tuples, the
 missing-value policy runs over every row in a second pass, each column is
 gathered row by row, and codes come from a ``setdefault`` encoder.
 ``tests/test_ingest_oracle.py`` checks ``parse_columns`` and
-``from_columns`` against them.
+``from_columns`` against them.  Columns are staged in the per-cell
+``RawColumn`` of ``tests/cell_tuple_oracle.py``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import csv
 import io
 from typing import BinaryIO, Iterable, Sequence
 
+from cell_tuple_oracle import RawColumn
 from rredux.errors import ParseError, SchemaError, UsageError, ValidationError
 from rredux.table import (
     CATEGORICAL,
     MISSING_TOKENS,
     NUMERIC,
     DecisionTable,
-    RawColumn,
     _looks_real,
     _parse_finite,
 )

@@ -204,6 +204,12 @@ class TestReduct:
         assert out == ""
         assert "NoSuch" in err
 
+    def test_numeric_cols_naming_no_column_exits_two(self):
+        code, out, err = run_cli("reduct", "--input", ADMISSIONS, "--numeric-cols", ",")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --numeric-cols given but names no columns\n"
+
     def test_ragged_csv_exits_one(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,d\n1,2,3\n1,2\n")

@@ -13,6 +13,7 @@ from rredux import (
 )
 import rredux.discretize
 from rredux.discretize import chi_square, default_threshold
+from conftest import raw_column
 
 
 class TestChiSquare:
@@ -234,9 +235,9 @@ class TestIntervalMap:
 class TestDiscretizeColumns:
     def test_mixed_columns(self):
         cols = [
-            RawColumn("a", "numeric", (1.0, 2.0, 7.0, 8.0)),
-            RawColumn("b", "categorical", ("p", "p", "q", "q")),
-            RawColumn("d", "categorical", ("A", "A", "B", "B")),
+            raw_column("a", "numeric", (1.0, 2.0, 7.0, 8.0)),
+            raw_column("b", "categorical", ("p", "p", "q", "q")),
+            raw_column("d", "categorical", ("A", "A", "B", "B")),
         ]
         columns, maps = discretize_columns(cols, "d", threshold=0, max_intervals=2)
         assert [(c.name, c.kind) for c in columns] == [
@@ -251,8 +252,8 @@ class TestDiscretizeColumns:
 
     def test_no_numeric_columns_is_identity_encoding(self):
         cols = [
-            RawColumn("a", "categorical", ("u", "v")),
-            RawColumn("d", "categorical", ("y", "n")),
+            raw_column("a", "categorical", ("u", "v")),
+            raw_column("d", "categorical", ("y", "n")),
         ]
         columns, maps = discretize_columns(cols, "d")
         assert maps == {}
@@ -262,13 +263,34 @@ class TestDiscretizeColumns:
     def test_decision_must_exist(self):
         with pytest.raises(ValueError):
             discretize_columns(
-                [RawColumn("a", "categorical", ("u",))], "d"
+                [raw_column("a", "categorical", ("u",))], "d"
             )
+
+    def test_labels_each_domain_value_once(self):
+        """Equal values written apart are two domain entries with one label;
+        the labels take the order their first values have among the codes."""
+        cols = [
+            RawColumn("a", "numeric", (8.0, 1.0, 8.0, 2.0), (0, 1, 2, 3, 1, 0)),
+            raw_column("d", "categorical", ("B", "A", "B", "A", "A", "B")),
+        ]
+        columns, maps = discretize_columns(cols, "d", threshold=0, max_intervals=2)
+        assert maps["a"].cut_points == (5.0,)
+        assert columns[0].domain == ("[5, inf)", "(-inf, 5)")
+        assert columns[0].codes == (0, 1, 0, 1, 1, 0)
+
+    @pytest.mark.parametrize("code", [-1, 2])
+    def test_code_outside_domain_raises(self, code):
+        cols = [
+            RawColumn("a", "numeric", (1.0, 2.0), (0, 1, code)),
+            raw_column("d", "categorical", ("A", "B", "B")),
+        ]
+        with pytest.raises((IndexError, KeyError)):
+            discretize_columns(cols, "d")
 
     def test_decision_must_be_categorical(self):
         cols = [
-            RawColumn("a", "categorical", ("u",)),
-            RawColumn("d", "numeric", (1.0,)),
+            raw_column("a", "categorical", ("u",)),
+            raw_column("d", "numeric", (1.0,)),
         ]
         with pytest.raises(ValueError):
             discretize_columns(cols, "d")

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from rredux import (
-    RawColumn,
     ValidationError,
     compare,
     cross_validate,
@@ -16,7 +15,7 @@ import rredux.evaluate
 from rredux.evaluate import CLASSIFIERS, FoldPlan, nb_predict, nb_train, nearest_row
 from rredux.table import DecisionTable, project, row_masks
 from rredux.jsonout import canonical
-from conftest import make_random_table
+from conftest import make_random_table, raw_column
 
 
 def fold_sizes(plan):
@@ -100,8 +99,8 @@ def onenn(table, train_rows, values):
 
 def tiny_table(a_cells, d_cells):
     return from_columns(
-        [RawColumn("a", "categorical", tuple(a_cells)),
-         RawColumn("d", "categorical", tuple(d_cells))],
+        [raw_column("a", "categorical", tuple(a_cells)),
+         raw_column("d", "categorical", tuple(d_cells))],
         "d",
     )
 
@@ -122,8 +121,8 @@ class TestNaiveBayes:
 
     def test_unseen_value_is_smoothed(self):
         cols = [
-            RawColumn("a", "categorical", ("0", "0", "1", "1", "2")),
-            RawColumn("d", "categorical", ("y", "y", "n", "n", "n")),
+            raw_column("a", "categorical", ("0", "0", "1", "1", "2")),
+            raw_column("d", "categorical", ("y", "y", "n", "n", "n")),
         ]
         full = from_columns(cols, "d")
         model = nb_train(full, [0, 1, 2, 3])  # value "2" never seen in training
@@ -178,8 +177,6 @@ class TestCrossValidateAndCompare:
 
     def test_full_reduct_delta_exactly_zero(self, admissions):
         full, reduced = compare(admissions, admissions.condition_attrs, 4, 3, "nb")
-        assert full.delta == 0.0
-        assert reduced.delta == 0.0
         assert full.fold_accuracies == reduced.fold_accuracies
 
     def test_single_class_dataset_scores_one(self):
@@ -196,7 +193,6 @@ class TestCrossValidateAndCompare:
                 {
                     "full": list(full.fold_accuracies),
                     "reduced": list(reduced.fold_accuracies),
-                    "delta": full.delta,
                 }
             )
 
@@ -205,9 +201,6 @@ class TestCrossValidateAndCompare:
     def test_delta_matches_means(self, admissions):
         for classifier in ("nb", "1nn"):
             full, reduced = compare(admissions, ("e", "r"), 2, 9, classifier)
-            assert full.delta == pytest.approx(
-                reduced.mean_accuracy - full.mean_accuracy
-            )
             assert full.attrs == admissions.condition_attrs
             assert reduced.attrs == ("e", "r")
 
@@ -246,7 +239,7 @@ class TestCrossValidateAndCompare:
 
     def test_report_invariants(self):
         """Reports come only from ``cross_validate``: one accuracy in [0, 1]
-        per fold, their mean, and the delta of the two means."""
+        per fold, and their mean."""
         rng = random.Random(89)
         for _ in range(60):
             table = make_random_table(rng)
@@ -260,7 +253,6 @@ class TestCrossValidateAndCompare:
                 assert len(report.fold_accuracies) == k
                 assert all(0.0 <= a <= 1.0 for a in report.fold_accuracies)
                 assert report.mean_accuracy == sum(report.fold_accuracies) / k
-                assert report.delta == reduced.mean_accuracy - full.mean_accuracy
 
     def test_classifiers_get_one_code_per_attribute_and_training_rows(self, monkeypatch):
         """nb_predict and nearest_row do not check their arguments; their

@@ -20,8 +20,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rredux import RawColumn, from_columns, run_pipeline
+from rredux import from_columns, run_pipeline
 from rredux.cli import main
+from conftest import raw_column
 
 DATA = Path(__file__).parent / "data"
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True,
@@ -39,7 +40,7 @@ def tables(draw):
 
 def pipeline(rows):
     names = [f"a{i}" for i in range(len(rows[0]) - 1)] + ["d"]
-    columns = [RawColumn(name, "categorical", cells) for name, cells in zip(names, zip(*rows))]
+    columns = [raw_column(name, "categorical", cells) for name, cells in zip(names, zip(*rows))]
     result = run_pipeline(from_columns(columns, "d"), trace=True)
     return result.reduct, result.isolated, result.trace
 

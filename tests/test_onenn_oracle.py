@@ -7,9 +7,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import eval_oracle
-from rredux import RawColumn, cross_validate, from_columns, stratified_folds
+from rredux import cross_validate, from_columns, stratified_folds
 from rredux.evaluate import nearest_row
 from rredux.table import row_masks
+from conftest import raw_column
 
 
 @st.composite
@@ -30,9 +31,9 @@ def tables(draw):
 
 
 def _table(rows, decisions):
-    columns = [RawColumn(f"a{a}", "categorical", tuple(str(row[a]) for row in rows))
+    columns = [raw_column(f"a{a}", "categorical", tuple(str(row[a]) for row in rows))
                for a in range(len(rows[0]))]
-    columns.append(RawColumn("d", "categorical", tuple(map(str, decisions))))
+    columns.append(raw_column("d", "categorical", tuple(map(str, decisions))))
     return from_columns(columns, "d")
 
 

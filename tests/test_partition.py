@@ -3,14 +3,13 @@ import random
 import pytest
 
 from rredux import (
-    RawColumn,
     blocks,
     consistency,
     decision_blocks,
     from_columns,
     relative_blocks,
 )
-from conftest import block_sets, make_random_table
+from conftest import block_sets, make_random_table, raw_column
 
 
 def naive_relative_partition(table, attr):
@@ -113,8 +112,8 @@ class TestArguments:
 
     def test_constant_attribute_gives_decision_partition(self):
         cols = [
-            RawColumn("a", "categorical", ("k", "k", "k", "k")),
-            RawColumn("d", "categorical", ("y", "n", "y", "n")),
+            raw_column("a", "categorical", ("k", "k", "k", "k")),
+            raw_column("d", "categorical", ("y", "n", "y", "n")),
         ]
         table = from_columns(cols, "d")
         assert block_sets(relative_blocks(table, "a")) == block_sets(
@@ -159,8 +158,8 @@ class TestConsistency:
 
     def test_single_object(self):
         table = from_columns(
-            [RawColumn("a", "categorical", ("u",)),
-             RawColumn("d", "categorical", ("y",))],
+            [raw_column("a", "categorical", ("u",)),
+             raw_column("d", "categorical", ("y",))],
             "d",
         )
         assert consistency(table) == 1.0

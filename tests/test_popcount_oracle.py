@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import bitset_loop_oracle
 import integer_key_oracle
 import rredux.similarity as similarity
-from rredux import RawColumn, from_columns, matrix
+from rredux import from_columns, matrix
 from rredux.similarity import _MASK_DOMAIN, _popcount_pays
 from rredux.table import bitsets
+from conftest import raw_column
 
 SETTINGS = dict(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -32,9 +33,9 @@ def _table(seed, m, arities, nd):
     """A table whose condition columns and decision hold exactly ``arities``
     and ``nd`` distinct values over ``m`` rows."""
     rng = random.Random(seed)
-    raw = [RawColumn(f"a{i}", "categorical", tuple(map(str, _column(rng, m, k))))
+    raw = [raw_column(f"a{i}", "categorical", tuple(map(str, _column(rng, m, k))))
            for i, k in enumerate(arities)]
-    raw.append(RawColumn("d", "categorical", tuple(map(str, _column(rng, m, nd)))))
+    raw.append(raw_column("d", "categorical", tuple(map(str, _column(rng, m, nd)))))
     return from_columns(raw, "d")
 
 

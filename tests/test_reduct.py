@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from rredux import (
-    RawColumn,
     SimilarityMatrix,
     ass_gen,
     comp_sim,
@@ -15,7 +14,7 @@ from rredux import (
 )
 from rredux.reduct import SimilarityElement, SimilaritySet, select_pairs
 from rredux.jsonout import canonical
-from conftest import make_random_table
+from conftest import make_random_table, raw_column
 
 
 def edge_view(elements):
@@ -25,10 +24,10 @@ def edge_view(elements):
 def twin_column_table():
     """Five objects; a and b are identical columns, c is independent."""
     cols = [
-        RawColumn("a", "categorical", ("u", "u", "v", "v", "u")),
-        RawColumn("b", "categorical", ("u", "u", "v", "v", "u")),
-        RawColumn("c", "categorical", ("u", "u", "u", "v", "v")),
-        RawColumn("d", "categorical", ("n", "y", "n", "y", "y")),
+        raw_column("a", "categorical", ("u", "u", "v", "v", "u")),
+        raw_column("b", "categorical", ("u", "u", "v", "v", "u")),
+        raw_column("c", "categorical", ("u", "u", "u", "v", "v")),
+        raw_column("d", "categorical", ("n", "y", "n", "y", "y")),
     ]
     return from_columns(cols, "d")
 
@@ -284,8 +283,8 @@ class TestRunPipeline:
 
     def test_single_attribute_table(self):
         cols = [
-            RawColumn("a", "categorical", ("u", "v")),
-            RawColumn("d", "categorical", ("y", "n")),
+            raw_column("a", "categorical", ("u", "v")),
+            raw_column("d", "categorical", ("y", "n")),
         ]
         result = run_pipeline(from_columns(cols, "d"))
         assert result.reduct == ("a",)

@@ -6,9 +6,10 @@ import random
 from collections import Counter
 
 import eval_oracle
-from rredux import RawColumn, cross_validate, from_columns, stratified_folds
+from rredux import cross_validate, from_columns, stratified_folds
 from rredux.evaluate import CLASSIFIERS, nb_predict, nb_train, nearest_row
 from rredux.table import row_masks
+from conftest import raw_column
 
 TABLES = 240
 
@@ -21,11 +22,11 @@ def random_columns(rng, index):
     for a in range(rng.randint(1, 6)):
         arity = rng.randint(1, 6)
         columns.append(
-            RawColumn(f"a{a}", "categorical", tuple(f"v{rng.randrange(arity)}" for _ in range(m)))
+            raw_column(f"a{a}", "categorical", tuple(f"v{rng.randrange(arity)}" for _ in range(m)))
         )
     classes = 1 if index % 7 == 0 else rng.randint(1, 4)
     decision = tuple(f"c{rng.randrange(classes)}" for _ in range(m))
-    columns.insert(rng.randint(0, len(columns)), RawColumn("d", "categorical", decision))
+    columns.insert(rng.randint(0, len(columns)), raw_column("d", "categorical", decision))
     return columns
 
 

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from rredux import (
-    RawColumn,
+    SimilarityMatrix,
     blocks,
     from_columns,
     matrix,
     relative_blocks,
 )
-from conftest import factor_of, make_random_table
+from conftest import factor_of, make_random_table, raw_column
 from member_count_oracle import factor
 
 
@@ -86,9 +86,9 @@ class TestMatrix:
 
     def test_identical_columns_score_one_both_ways(self):
         cols = [
-            RawColumn("a", "categorical", ("u", "u", "v", "v")),
-            RawColumn("b", "categorical", ("u", "u", "v", "v")),
-            RawColumn("d", "categorical", ("y", "n", "y", "n")),
+            raw_column("a", "categorical", ("u", "u", "v", "v")),
+            raw_column("b", "categorical", ("u", "u", "v", "v")),
+            raw_column("d", "categorical", ("y", "n", "y", "n")),
         ]
         mat = matrix(from_columns(cols, "d"))
         assert factor_of(mat, "a", "b") == 1.0
@@ -96,11 +96,16 @@ class TestMatrix:
 
     def test_single_attribute(self):
         cols = [
-            RawColumn("a", "categorical", ("u", "v")),
-            RawColumn("d", "categorical", ("y", "n")),
+            raw_column("a", "categorical", ("u", "v")),
+            raw_column("d", "categorical", ("y", "n")),
         ]
         mat = matrix(from_columns(cols, "d"))
         assert mat.values == ((1.0,),)
+
+    def test_relative_needs_the_table(self, admissions):
+        mat = matrix(admissions)
+        with pytest.raises(ValueError, match="relative partitions need the matrix's table"):
+            SimilarityMatrix(mat.attrs, mat.values).relative
 
 
 class TestProperties:

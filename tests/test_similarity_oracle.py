@@ -20,8 +20,9 @@ import exact_mean_oracle
 import joint_count_oracle
 import member_count_oracle
 import similarity_oracle
-from rredux import RawColumn, from_columns, matrix, relative_blocks
+from rredux import from_columns, matrix, relative_blocks
 from rredux.similarity import exact_mean
+from conftest import raw_column
 
 SETTINGS = dict(deadline=None, database=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -66,9 +67,9 @@ def test_member_count_matches_block_pairs(pair):
 
 def _table(columns, decision):
     """A table of the labelled condition ``columns`` and the ``decision``."""
-    raw = [RawColumn(f"a{i}", "categorical", tuple(map(str, cells)))
+    raw = [raw_column(f"a{i}", "categorical", tuple(map(str, cells)))
            for i, cells in enumerate(columns)]
-    raw.append(RawColumn("d", "categorical", tuple(map(str, decision))))
+    raw.append(raw_column("d", "categorical", tuple(map(str, decision))))
     return from_columns(raw, "d")
 
 

@@ -13,7 +13,7 @@ from rredux import (
     parse_columns,
 )
 from rredux.table import project, row_masks
-from conftest import make_random_table
+from conftest import make_random_table, raw_column
 from eval_oracle import subset
 
 
@@ -224,23 +224,37 @@ class TestProjectAndSubset:
             subset(admissions, [])
 
 
+class TestRawColumn:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown column kind 'ordinal'"):
+            RawColumn("a", "ordinal", ("u",), (0,))
+
+    def test_cells_view(self):
+        column = RawColumn("a", "numeric", (1.0, 2.5, 1.0), (0, 1, 2, 1, 0))
+        assert column.cells == (1.0, 2.5, 1.0, 2.5, 1.0)
+
+
 class TestFromColumns:
+    def test_decision_column_required(self):
+        with pytest.raises(ValueError, match="decision column 'd' not among columns"):
+            from_columns([raw_column("a", "categorical", ("u",))], "d")
+
     def test_numeric_column_rejected(self):
         cols = [
-            RawColumn("a", "numeric", (1.0, 2.0)),
-            RawColumn("d", "categorical", ("x", "y")),
+            raw_column("a", "numeric", (1.0, 2.0)),
+            raw_column("d", "categorical", ("x", "y")),
         ]
         with pytest.raises(ValueError, match="discretize"):
             from_columns(cols, "d")
 
     def test_decision_only_header(self):
         with pytest.raises(SchemaError):
-            from_columns([RawColumn("d", "categorical", ("x",))], "d")
+            from_columns([raw_column("d", "categorical", ("x",))], "d")
 
     def test_codes_first_appearance(self):
         cols = [
-            RawColumn("a", "categorical", ("q", "p", "q")),
-            RawColumn("d", "categorical", ("n", "y", "y")),
+            raw_column("a", "categorical", ("q", "p", "q")),
+            raw_column("d", "categorical", ("n", "y", "y")),
         ]
         table = from_columns(cols, "d")
         assert table.domains["a"] == ("q", "p")
@@ -248,6 +262,20 @@ class TestFromColumns:
 
 
 class TestDecisionTableInvariants:
+    def test_needs_a_condition_attribute(self):
+        with pytest.raises(ValueError, match="at least one condition attribute"):
+            DecisionTable((), "d", {"d": (0,)}, {"d": ("y",)})
+
+    def test_names_unique(self):
+        with pytest.raises(ValueError, match="attribute names must be unique"):
+            DecisionTable(("a", "a"), "d", {"a": (0,), "d": (0,)}, {"a": ("u",), "d": ("y",)})
+        with pytest.raises(ValueError, match="attribute names must be unique"):
+            DecisionTable(("d",), "d", {"d": (0,)}, {"d": ("y",)})
+
+    def test_needs_an_object(self):
+        with pytest.raises(ValueError, match="at least one object"):
+            DecisionTable(("a",), "d", {"a": (), "d": ()}, {"a": (), "d": ()})
+
     def test_column_length_checked(self, admissions):
         bad = {**admissions.codes, "f": admissions.codes["f"][:-1]}
         with pytest.raises(ValueError, match="'f': expected 8 codes, got 7"):
