@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .errors import ValidationError
-from .table import CATEGORICAL, NUMERIC, RawColumn
+from .table import RawColumn
 from .table import from_columns  # not called here; perfbench/tracer.py rebinds it by name
 
 DEFAULT_MAX_INTERVALS = 6
@@ -241,21 +241,20 @@ def discretize_columns(
     if decision_attr not in by_name:
         raise ValueError(f"decision column {decision_attr!r} not among columns")
     decision = by_name[decision_attr]
-    if decision.kind != CATEGORICAL:
+    if decision.numeric:
         raise ValueError("decision column must be categorical")
 
     maps: dict[str, IntervalMap] = {}
     converted: list[RawColumn] = []
     for col in columns:
-        if col.kind != NUMERIC:
+        if not col.numeric:
             converted.append(col)
             continue
         imap = chimerge(col.cells, decision.cells, threshold, max_intervals)
         maps[col.name] = imap
         labels = list(map(imap.label_of, col.domain))
         index = {label: k for k, label in enumerate(dict.fromkeys(labels))}
-        # keyed by old code, so a code outside the domain raises KeyError
-        relabel = dict(enumerate(map(index.__getitem__, labels)))
+        relabel = list(map(index.__getitem__, labels))  # old code -> new code
         codes = tuple(map(relabel.__getitem__, col.codes))
-        converted.append(RawColumn(col.name, CATEGORICAL, tuple(index), codes))
+        converted.append(RawColumn(col.name, tuple(index), codes))
     return converted, maps

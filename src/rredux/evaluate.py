@@ -55,7 +55,10 @@ class EvalReport:
     classifier: str
     attrs: tuple[str, ...]
     fold_accuracies: tuple[float, ...]
-    mean_accuracy: float
+
+    @property
+    def mean_accuracy(self) -> float:
+        return sum(self.fold_accuracies) / len(self.fold_accuracies)
 
 
 def stratified_folds(table: DecisionTable, k: int, seed: int) -> FoldPlan:
@@ -99,8 +102,8 @@ def nb_train(table: DecisionTable, rows: Sequence[int]) -> list[tuple[int, float
     class_counts = Counter(decisions)
     classes = sorted(class_counts)
     model = [(c, math.log(class_counts[c] / len(rows)), []) for c in classes]
-    for a in table.condition_attrs:
-        column, size = table.column(a), len(table.domains[a])
+    for col in table.condition:
+        column, size = col.codes, len(col.domain)
         logs: dict[int, dict[int, float]] = {c: {} for c in classes}
         for (value, cls), seen in Counter(zip([column[i] for i in rows], decisions)).items():
             logs[cls][value] = math.log((seen + 1) / (class_counts[cls] + size))
@@ -191,8 +194,7 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
             predicted = [decisions[nearest_row(masks, train, rows[i])] for i in test_rows]
         correct = sum(p == decisions[i] for p, i in zip(predicted, test_rows))
         accuracies.append(correct / len(test_rows))
-    mean = sum(accuracies) / len(accuracies)
-    return EvalReport(classifier, table.condition_attrs, tuple(accuracies), mean)
+    return EvalReport(classifier, table.condition_attrs, tuple(accuracies))
 
 
 def compare(

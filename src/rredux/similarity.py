@@ -134,17 +134,18 @@ def matrix(table: DecisionTable) -> SimilarityMatrix:
     """Pairwise similarity factors, each pair counted once by popcount or by
     a joint count, whichever ``_popcount_pays`` picks."""
     attrs = table.condition_attrs
-    decision = table.column(table.decision_attr)
-    nd = len(table.domains[table.decision_attr])
-    arity = [len(table.domains[a]) for a in attrs]
+    columns = [col.codes for col in table.condition]
+    decision = table.decision.codes
+    nd = len(table.decision.domain)
+    arity = [len(col.domain) for col in table.condition]
     pairs = list(combinations(range(len(attrs)), 2))
     by_popcount = {(i, j) for i, j in pairs if _popcount_pays(arity[i], arity[j], nd, table.m)}
     masked = {k for pair in by_popcount for k in pair}
     keyed = {k for pair in pairs if pair not in by_popcount for k in pair}
-    masks = {k: bitsets(table.column(attrs[k]), arity[k]) for k in masked}
+    masks = {k: bitsets(columns[k], arity[k]) for k in masked}
     by_decision = bitsets(decision, nd) if masked else ()
     width = max(arity) * nd
-    keys = {k: list(map(add, map(nd.__mul__, table.column(attrs[k])), decision)) for k in keyed}
+    keys = {k: list(map(add, map(nd.__mul__, columns[k]), decision)) for k in keyed}
     sizes = {}  # k -> {cell: count(a, d)} over the non-empty cells
     for k in masked:
         counts = map(int.bit_count, _cells(masks[k], by_decision))

@@ -12,7 +12,8 @@ as numeric only when explicitly flagged, or when every cell is a plain
 finite number literal (``_NUMBER``) and at least one cell is written in
 real form (contains a decimal point or exponent).  Integer-only columns
 are ambiguous -- they are just as often category codes -- and default to
-categorical.  Typing reads each distinct cell text once.
+categorical.  Typing reads each distinct cell text once, and a column's
+kind is its domain: floats for a numeric column, texts for any other.
 """
 
 from __future__ import annotations
@@ -30,28 +31,33 @@ from .errors import ParseError, SchemaError, UsageError, ValidationError
 
 MISSING_TOKENS = frozenset({"", "?"})
 
-CATEGORICAL = "categorical"
-NUMERIC = "numeric"
-
 
 @dataclass(frozen=True)
 class RawColumn:
-    """A parsed column: its distinct values and one code per object.
+    """A column: its distinct values and one code per object.
 
     ``domain`` has one entry per distinct cell text in first-appearance
     order: the text, or for a numeric column its float (so ``"1.0"`` and
     ``"1.00"`` are two entries of one value).  ``codes`` index into it, one
     per object; missing values have already been rejected or dropped.
+    Every code is checked against the domain here, where the column is
+    built, and nowhere else.
     """
 
     name: str
-    kind: str
     domain: tuple
     codes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in (CATEGORICAL, NUMERIC):
-            raise ValueError(f"unknown column kind {self.kind!r}")
+        codes, size = self.codes, len(self.domain)
+        if codes and (min(codes) < 0 or max(codes) >= size):
+            i = next(i for i, code in enumerate(codes) if not 0 <= code < size)
+            raise ValueError(f"object 'x{i + 1}': code {codes[i]} outside domain of {self.name!r}")
+
+    @property
+    def numeric(self) -> bool:
+        """Whether the domain is non-empty and holds only floats."""
+        return bool(self.domain) and all(isinstance(v, float) for v in self.domain)
 
     @property
     def cells(self) -> tuple:
@@ -61,53 +67,49 @@ class RawColumn:
 
 @dataclass(frozen=True)
 class DecisionTable:
-    """Immutable categorical decision table, stored by column.
+    """Immutable categorical decision table: its condition columns and its
+    decision column.
 
-    ``codes[attr]`` holds one integer code per object, in object order,
-    for every condition attribute and for the decision.  Codes index into
-    ``domains[attr]``, the per-attribute label list in first-appearance
-    order.  Objects are identified by position; where they are shown,
-    object i is named ``x{i+1}``.
+    Objects are identified by position; where they are shown, object i is
+    named ``x{i+1}``.
     """
 
-    condition_attrs: tuple[str, ...]
-    decision_attr: str
-    codes: dict[str, tuple[int, ...]]
-    domains: dict[str, tuple[str, ...]]
+    condition: tuple[RawColumn, ...]
+    decision: RawColumn
 
     def __post_init__(self):
-        if len(self.condition_attrs) < 1:
+        if len(self.condition) < 1:
             raise ValueError("a decision table needs at least one condition attribute")
         names = self.condition_attrs + (self.decision_attr,)
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
-        if set(self.codes) != set(names):
-            raise ValueError("codes must hold one column per attribute")
-        if set(self.domains) != set(names):
-            raise ValueError("domains must hold one entry per attribute")
         m = self.m
         if m < 1:
             raise ValueError("a decision table needs at least one object")
-        for attr in names:
-            column, size = self.codes[attr], len(self.domains[attr])
-            if len(column) != m:
-                raise ValueError(f"column {attr!r}: expected {m} codes, got {len(column)}")
-            if min(column) < 0 or max(column) >= size:
-                i = next(i for i, code in enumerate(column) if not 0 <= code < size)
-                raise ValueError(
-                    f"object 'x{i + 1}': code {column[i]} outside domain of {attr!r}"
-                )
+        for col in self.condition + (self.decision,):
+            if len(col.codes) != m:
+                raise ValueError(f"column {col.name!r}: expected {m} codes, got {len(col.codes)}")
+            if col.numeric:
+                raise ValueError(f"column {col.name!r} is numeric; discretize it first")
+
+    @property
+    def condition_attrs(self) -> tuple[str, ...]:
+        return tuple(col.name for col in self.condition)
+
+    @property
+    def decision_attr(self) -> str:
+        return self.decision.name
 
     @property
     def m(self) -> int:
-        return len(self.codes[self.decision_attr])
+        return len(self.decision.codes)
 
     def column(self, attr: str) -> tuple[int, ...]:
         """The codes of ``attr`` (a condition attribute or the decision)."""
-        try:
-            return self.codes[attr]
-        except KeyError:
-            raise ValueError(f"unknown attribute {attr!r}") from None
+        for col in self.condition + (self.decision,):
+            if col.name == attr:
+                return col.codes
+        raise ValueError(f"unknown attribute {attr!r}")
 
 
 def _read_rows(text, delimiter: str, drop_missing: bool) -> tuple[list, list, list]:
@@ -122,7 +124,7 @@ def _read_rows(text, delimiter: str, drop_missing: bool) -> tuple[list, list, li
     reader = csv.reader(text, delimiter=delimiter)
     rows, missing = [], None  # missing: (line, column) of the first missing cell
     try:
-        header = next(reader, None)
+        header = next(filter(None, reader), None)  # blank lines before it are skipped
         if header is None:
             raise SchemaError("empty file: no header row")
         seen = set()
@@ -211,43 +213,26 @@ def parse_columns(
     columns: list[RawColumn] = []
     # the first text that is not a number is also the first such cell in the file
     for name, texts, codes in zip(header, map(tuple, domains), zip(*rows)):
-        if name == decision:
-            columns.append(RawColumn(name, CATEGORICAL, texts, codes))
-            continue
-        parsed = list(takewhile(lambda v: v is not None, map(_parse_finite, texts)))
-        all_number = len(parsed) == len(texts)
-        if name in flagged:
-            if not all_number:
-                bad = texts[len(parsed)]
-                raise ValidationError(
-                    f"column {name!r} flagged numeric but cell {bad!r} is not a finite number"
-                )
-            numeric = True
-        else:
-            numeric = all_number and any(map(_looks_real, texts))
-        if numeric:
-            columns.append(RawColumn(name, NUMERIC, tuple(parsed), codes))
-        else:
-            columns.append(RawColumn(name, CATEGORICAL, texts, codes))
+        # the decision is never numeric, so its texts are not parsed
+        values = () if name == decision else tuple(
+            takewhile(lambda v: v is not None, map(_parse_finite, texts)))
+        if name in flagged and len(values) < len(texts):
+            raise ValidationError(f"column {name!r} flagged numeric but cell "
+                                  f"{texts[len(values)]!r} is not a finite number")
+        numeric = len(values) == len(texts) and (name in flagged or any(map(_looks_real, texts)))
+        columns.append(RawColumn(name, values if numeric else texts, codes))
     return columns, decision
 
 
 def from_columns(columns: Sequence[RawColumn], decision_attr: str) -> DecisionTable:
-    """The decision table of all-categorical columns, each column's codes
-    and domain as they are."""
+    """The decision table of all-categorical columns, each column as it is."""
     by_name = {c.name: c for c in columns}
     if decision_attr not in by_name:
         raise ValueError(f"decision column {decision_attr!r} not among columns")
-    for col in columns:
-        if col.kind != CATEGORICAL:
-            raise ValueError(f"column {col.name!r} is numeric; discretize it first")
-    condition = tuple(c.name for c in columns if c.name != decision_attr)
+    condition = tuple(c for c in columns if c.name != decision_attr)
     if not condition:
         raise SchemaError("no condition attributes besides the decision column")
-    ordered = [by_name[a] for a in condition] + [by_name[decision_attr]]
-    codes = {col.name: col.codes for col in ordered}
-    domains = {col.name: col.domain for col in ordered}
-    return DecisionTable(condition, decision_attr, codes, domains)
+    return DecisionTable(condition, by_name[decision_attr])
 
 
 def project(table: DecisionTable, attrs: Iterable[str]) -> DecisionTable:
@@ -262,11 +247,7 @@ def project(table: DecisionTable, attrs: Iterable[str]) -> DecisionTable:
     unknown = wanted - set(table.condition_attrs)
     if unknown:
         raise ValueError(f"unknown attribute {sorted(unknown)[0]!r}")
-    kept = tuple(a for a in table.condition_attrs if a in wanted)
-    names = kept + (table.decision_attr,)
-    codes = {a: table.codes[a] for a in names}
-    domains = {a: table.domains[a] for a in names}
-    return DecisionTable(kept, table.decision_attr, codes, domains)
+    return DecisionTable(tuple(c for c in table.condition if c.name in wanted), table.decision)
 
 
 # Translating the codes costs two C passes over them per code, the loop one
@@ -304,4 +285,4 @@ def row_masks(table: DecisionTable) -> tuple[tuple[int, ...], ...]:
     ``code`` in the a-th condition attribute.  That is rows x (sum of the
     domain sizes) bits in all, one ``bitsets`` call per attribute.
     """
-    return tuple(bitsets(table.column(a), len(table.domains[a])) for a in table.condition_attrs)
+    return tuple(bitsets(col.codes, len(col.domain)) for col in table.condition)

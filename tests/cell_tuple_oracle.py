@@ -10,6 +10,7 @@ zipped those rows into columns and typed each column over its cells.
 ``from_columns`` encoded the cells to codes in a second pass.
 ``tests/test_cell_tuple_oracle.py`` checks the library against them,
 and ``tests/ingest_oracle.py`` stages its columns in this ``RawColumn``.
+Tables are built in the keyed form of ``tests/keyed_table_oracle.py``.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import BinaryIO, Iterable, Sequence
 
+from keyed_table_oracle import CATEGORICAL, NUMERIC, DecisionTable
 from rredux.discretize import DEFAULT_MAX_INTERVALS, IntervalMap, chimerge
 from rredux.errors import ParseError, SchemaError, UsageError, ValidationError
-from rredux.table import (
-    CATEGORICAL,
-    MISSING_TOKENS,
-    NUMERIC,
-    DecisionTable,
-    _looks_real,
-    _parse_finite,
-)
+from rredux.table import MISSING_TOKENS, _looks_real, _parse_finite
 
 
 @dataclass(frozen=True)

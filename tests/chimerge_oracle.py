@@ -2,8 +2,10 @@
 
 It recomputes every adjacent statistic after each merge and takes the
 minimum by ``(statistic, position)``: quadratic in the distinct values,
-but plainly the rule the heap merge must reproduce.  Kept as the
-differential oracle for ``tests/test_discretize.py``.
+but plainly the rule the heap merge must reproduce.  Each cut follows
+the documented rule: the midpoint of the neighbouring values when it lies
+in (top, next], and the upper value ``next`` otherwise.  Kept as the
+differential oracle for ``tests/test_chimerge_oracle.py``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def chimerge(
         merged = (lo, hi, [a + b for a, b in zip(left, right)])
         intervals[best : best + 2] = [merged]
 
-    cuts = tuple(
-        (intervals[i][1] + intervals[i + 1][0]) / 2 for i in range(len(intervals) - 1)
-    )
-    return IntervalMap(cuts, _interval_labels(cuts))
+    cuts = []
+    for (_, top, _), (low, _, _) in zip(intervals, intervals[1:]):
+        cut = (top + low) / 2
+        cuts.append(cut if top < cut <= low else low)
+    return IntervalMap(tuple(cuts), _interval_labels(cuts))

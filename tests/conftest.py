@@ -14,11 +14,17 @@ def admissions() -> DecisionTable:
         return from_columns(*parse_columns(f))
 
 
-def raw_column(name: str, kind: str, cells) -> RawColumn:
+def raw_column(name: str, cells) -> RawColumn:
     """The column of ``cells``: their distinct values in first-appearance
-    order as the domain, and one code per cell."""
+    order as the domain, and one code per cell.  Float cells make a
+    numeric column."""
     index = {cell: k for k, cell in enumerate(dict.fromkeys(cells))}
-    return RawColumn(name, kind, tuple(index), tuple(map(index.__getitem__, cells)))
+    return RawColumn(name, tuple(index), tuple(map(index.__getitem__, cells)))
+
+
+def domain_of(table: DecisionTable, attr: str) -> tuple:
+    """The domain of ``attr`` (a condition attribute or the decision)."""
+    return next(c.domain for c in table.condition + (table.decision,) if c.name == attr)
 
 
 def make_random_table(
@@ -36,10 +42,10 @@ def make_random_table(
     for a in range(n_attrs):
         arity = rng.randint(1, max_values)
         cells = tuple(f"v{rng.randrange(arity)}" for _ in range(m))
-        columns.append(raw_column(f"a{a}", "categorical", cells))
+        columns.append(raw_column(f"a{a}", cells))
     arity = rng.randint(1, max_classes)
     columns.append(
-        raw_column("d", "categorical", tuple(f"c{rng.randrange(arity)}" for _ in range(m)))
+        raw_column("d", tuple(f"c{rng.randrange(arity)}" for _ in range(m)))
     )
     return from_columns(columns, "d")
 

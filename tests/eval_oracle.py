@@ -18,7 +18,8 @@ Each piece is kept as it last stood in the library:
   every training row in a Python loop.
 
 ``tests/test_row_oracle.py`` and ``tests/test_onenn_oracle.py`` check
-the library against them.
+the library against them.  The tables here are in the keyed form of
+``tests/keyed_table_oracle.py``; ``keyed`` restates a library table.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 from operator import ne
 from typing import Callable, Sequence
 
+from keyed_table_oracle import DecisionTable
 from rredux.evaluate import EvalReport, FoldPlan
-from rredux.table import DecisionTable
 
 
 @dataclass(frozen=True)
@@ -197,5 +198,4 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
         predict = fit(subset(table, train_rows))
         correct = sum(predict(rows[i]) == decisions[i] for i in test_rows)
         accuracies.append(correct / len(test_rows))
-    mean = sum(accuracies) / len(accuracies)
-    return EvalReport(classifier, table.condition_attrs, tuple(accuracies), mean)
+    return EvalReport(classifier, table.condition_attrs, tuple(accuracies))

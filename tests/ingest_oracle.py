@@ -8,7 +8,8 @@ missing-value policy runs over every row in a second pass, each column is
 gathered row by row, and codes come from a ``setdefault`` encoder.
 ``tests/test_ingest_oracle.py`` checks ``parse_columns`` and
 ``from_columns`` against them.  Columns are staged in the per-cell
-``RawColumn`` of ``tests/cell_tuple_oracle.py``.
+``RawColumn`` of ``tests/cell_tuple_oracle.py``, and the table is built in
+the keyed form of ``tests/keyed_table_oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,15 +19,9 @@ import io
 from typing import BinaryIO, Iterable, Sequence
 
 from cell_tuple_oracle import RawColumn
+from keyed_table_oracle import CATEGORICAL, NUMERIC, DecisionTable
 from rredux.errors import ParseError, SchemaError, UsageError, ValidationError
-from rredux.table import (
-    CATEGORICAL,
-    MISSING_TOKENS,
-    NUMERIC,
-    DecisionTable,
-    _looks_real,
-    _parse_finite,
-)
+from rredux.table import MISSING_TOKENS, _looks_real, _parse_finite
 
 
 def _records(reader):

@@ -20,9 +20,9 @@ from rredux.table import DecisionTable
 def matrix(table: DecisionTable) -> SimilarityMatrix:
     """Pairwise similarity factors from one joint count per attribute pair."""
     attrs = table.condition_attrs
-    decision = table.column(table.decision_attr)
-    nd = len(table.domains[table.decision_attr])
-    width = max(len(table.domains[a]) for a in attrs) * nd
+    decision = table.decision.codes
+    nd = len(table.decision.domain)
+    width = max(len(col.domain) for col in table.condition) * nd
     cells = [list(map(add, map(nd.__mul__, table.column(a)), decision)) for a in attrs]
     sizes = [Counter(column) for column in cells]  # cell -> count(a, d)
     values = [[1.0] * len(attrs) for _ in attrs]

@@ -374,9 +374,9 @@ def test_evaluation_harness(admissions, random_tables):
         failures.append("fixed seed does not give byte-identical reports")
 
     columns = [
-        raw_column("a", "categorical", ("u", "u", "v", "v", "u")),
-        raw_column("b", "categorical", ("p", "q", "p", "q", "p")),
-        raw_column("d", "categorical", ("yes", "yes", "no", "no", "no")),
+        raw_column("a", ("u", "u", "v", "v", "u")),
+        raw_column("b", ("p", "q", "p", "q", "p")),
+        raw_column("d", ("yes", "yes", "no", "no", "no")),
     ]
     tiny = from_columns(columns, "d")
     model = nb_train(tiny, range(tiny.m))
@@ -388,7 +388,7 @@ def test_evaluation_harness(admissions, random_tables):
         score = Fraction(len(rows), tiny.m)
         for pos, attr in enumerate(tiny.condition_attrs):
             hits = sum(1 for r in rows if r[pos] == query[pos])
-            score *= Fraction(hits + 1, len(rows) + len(tiny.domains[attr]))
+            score *= Fraction(hits + 1, len(rows) + len(tiny.condition[pos].domain))
         return score
 
     for query in itertools.product((0, 1), repeat=2):

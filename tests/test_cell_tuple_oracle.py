@@ -1,6 +1,7 @@
 """The reader that hands out codes against the per-cell chain it replaced,
 kept in ``tests/cell_tuple_oracle.py``: the same error, or the same
-columns, ChiMerge maps, discretized cells, codes and domains."""
+columns, ChiMerge maps, discretized cells, codes and domains.  Tables are
+compared in the keyed form of ``tests/keyed_table_oracle.py``."""
 
 import io
 
@@ -10,28 +11,29 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cell_tuple_oracle
+from keyed_table_oracle import keyed
 from rredux.discretize import discretize_columns
 from rredux.table import from_columns, parse_columns
 from test_properties import csv_texts
 
-LIBRARY = (parse_columns, discretize_columns, from_columns)
+LIBRARY = (parse_columns, discretize_columns, lambda *args: keyed(from_columns(*args)))
 ORACLE = (cell_tuple_oracle.parse_columns, cell_tuple_oracle.discretize_columns,
           cell_tuple_oracle.from_columns)
 
 
 def stages(chain, text, **kwargs):
-    """Each stage's result in order, columns as ``(name, kind, cells)``,
-    ending with ``(type, message)`` of whatever raised."""
+    """Each stage's result in order, columns as ``(name, cells)`` (floats
+    for a numeric column, texts for any other), ending with ``(type,
+    message)`` of whatever raised."""
     parse, discretize, build = chain
     out = []
     try:
         columns, decision = parse(io.BytesIO(text.encode("utf-8")), **kwargs)
-        out.append(([(c.name, c.kind, c.cells) for c in columns], decision))
+        out.append(([(c.name, c.cells) for c in columns], decision))
         columns, maps = discretize(columns, decision)
         out.append(maps)
-        out.append([(c.name, c.kind, c.cells) for c in columns])
-        table = build(columns, decision)
-        out.append((table.codes, table.domains))
+        out.append([(c.name, c.cells) for c in columns])
+        out.append(build(columns, decision))
     except Exception as exc:  # any exception is part of the outcome
         out.append((type(exc), str(exc)))
     return out
@@ -69,5 +71,5 @@ def test_examples_reach_every_stage():
     table, so they compare every stage, not an early error."""
     for text, drop_missing in ((ID_LIKE, False), (EQUAL_FLOATS, False), (DROPPED_ONLY, True)):
         assert len(stages(LIBRARY, text, drop_missing=drop_missing)) == 4
-    codes, domains = stages(LIBRARY, DROPPED_ONLY, drop_missing=True)[-1]
-    assert domains["a"] == ("x", "w") and codes["a"] == (0, 1, 0)
+    table = stages(LIBRARY, DROPPED_ONLY, drop_missing=True)[-1]
+    assert table.domains["a"] == ("x", "w") and table.codes["a"] == (0, 1, 0)

@@ -14,12 +14,35 @@ from rredux import chimerge
 
 
 @st.composite
+def value_pools(draw):
+    """1-8 distinct values: half-integers; or a run from a random start or
+    from near +-1.7e308, each value 1-3 ulps above the last, so a midpoint
+    can round onto its lower neighbour; or values near +-1.7e308, where the
+    sum of two neighbours overflows."""
+    kind = draw(st.sampled_from(["half", "ulps", "huge"]))
+    if kind == "half":
+        pool = draw(st.lists(st.integers(-4, 12), min_size=1, max_size=8, unique=True))
+        return [p / 2 for p in pool]
+    if kind == "huge":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return draw(st.lists(st.floats(1.5e308, 1.79e308).map(sign.__mul__),
+                             min_size=1, max_size=8, unique=True))
+    value = draw(st.floats(-1e15, 1e15) | st.sampled_from([1.7e308, -1.7e308]))
+    pool = [value]
+    for _ in range(draw(st.integers(0, 7))):
+        for _ in range(draw(st.integers(1, 3))):
+            value = math.nextafter(value, math.inf)
+        pool.append(value)
+    return pool
+
+
+@st.composite
 def tie_heavy_columns(draw):
-    """1-40 values drawn from 1-8 distinct half-integers, 1-4 classes, so
+    """1-40 values drawn from a pool of 1-8 distinct ones, 1-4 classes, so
     equal statistics (zeros above all) are common."""
-    pool = draw(st.lists(st.integers(-4, 12), min_size=1, max_size=8, unique=True))
+    pool = draw(value_pools())
     n = draw(st.integers(1, 40))
-    values = draw(st.lists(st.sampled_from([p / 2 for p in pool]), min_size=n, max_size=n))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     classes = draw(st.integers(1, 4))
     labels = draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n))
     return values, [f"c{c}" for c in labels]
@@ -33,8 +56,6 @@ def _merged_then(lows, top, above):
     return values, ["a"] * (len(values) - 3) + ["b"] * 3
 
 
-# The oracle takes the bare midpoint, so these keep it inside (top, above];
-# the cases where it falls outside are pinned in ``test_discretize``.
 _TWO_ULPS_ABOVE_2 = math.nextafter(math.nextafter(2.0, 3), 3)
 
 
@@ -45,6 +66,10 @@ _TWO_ULPS_ABOVE_2 = math.nextafter(math.nextafter(2.0, 3), 3)
          threshold=3.84, cap=6)
 # a pair whose sum is near the largest float, 1.797e308
 @example(column=_merged_then((8.0e307,), 8.9e307, 8.98e307), threshold=3.84, cap=6)
+# the midpoint of 2.0 and the next float rounds onto 2.0: the cut is the upper value
+@example(column=_merged_then((1.0, 1.5), 2.0, 2.0000000000000004), threshold=3.84, cap=6)
+# the midpoint of 1.7e308 and 1.79e308 overflows: the cut is the upper value
+@example(column=_merged_then((1.6e308,), 1.7e308, 1.79e308), threshold=3.84, cap=6)
 @given(column=tie_heavy_columns(),
        threshold=st.sampled_from([None, 0, 1, 3.84, 100]),
        cap=st.integers(1, 8))

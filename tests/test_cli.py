@@ -218,6 +218,23 @@ class TestReduct:
         assert out == ""
         assert "row 3" in err
 
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path):
+        src = tmp_path / "blank.csv"
+        src.write_text("\n\na,b\n1,x\n")
+        code, out, err = run_cli("reduct", "--input", str(src), "--output", "json")
+        assert code == 0, err
+        assert json.loads(out)["reduct"] == ["a"]
+        # rows are still named by their physical line
+        src.write_text("\n\na,b\n1,x\n1\n")
+        code, out, err = run_cli("reduct", "--input", str(src))
+        assert (code, out, err) == (1, "", "error: row 5: expected 2 cells, got 1\n")
+
+    def test_only_blank_lines_is_an_empty_file(self, tmp_path):
+        src = tmp_path / "blank.csv"
+        src.write_text("\n\n\n")
+        code, out, err = run_cli("reduct", "--input", str(src))
+        assert (code, out, err) == (1, "", "error: empty file: no header row\n")
+
     def test_missing_values_rejected_then_dropped(self, tmp_path):
         holey = tmp_path / "holey.csv"
         holey.write_text("a,d\nu,yes\n?,no\nv,no\nw,yes\n")

@@ -13,7 +13,7 @@ from rredux import (
 )
 import rredux.discretize
 from rredux.discretize import chi_square, default_threshold
-from conftest import raw_column
+from conftest import domain_of, raw_column
 
 
 class TestChiSquare:
@@ -235,43 +235,43 @@ class TestIntervalMap:
 class TestDiscretizeColumns:
     def test_mixed_columns(self):
         cols = [
-            raw_column("a", "numeric", (1.0, 2.0, 7.0, 8.0)),
-            raw_column("b", "categorical", ("p", "p", "q", "q")),
-            raw_column("d", "categorical", ("A", "A", "B", "B")),
+            raw_column("a", (1.0, 2.0, 7.0, 8.0)),
+            raw_column("b", ("p", "p", "q", "q")),
+            raw_column("d", ("A", "A", "B", "B")),
         ]
         columns, maps = discretize_columns(cols, "d", threshold=0, max_intervals=2)
-        assert [(c.name, c.kind) for c in columns] == [
-            ("a", "categorical"), ("b", "categorical"), ("d", "categorical"),
+        assert [(c.name, c.numeric) for c in columns] == [
+            ("a", False), ("b", False), ("d", False),
         ]
         table = from_columns(columns, "d")
         assert set(maps) == {"a"}
         assert maps["a"].cut_points == (4.5,)
-        assert table.domains["a"] == ("(-inf, 4.5)", "[4.5, inf)")
+        assert domain_of(table, "a") == ("(-inf, 4.5)", "[4.5, inf)")
         assert table.column("a") == (0, 0, 1, 1)
-        assert table.domains["b"] == ("p", "q")
+        assert domain_of(table, "b") == ("p", "q")
 
     def test_no_numeric_columns_is_identity_encoding(self):
         cols = [
-            raw_column("a", "categorical", ("u", "v")),
-            raw_column("d", "categorical", ("y", "n")),
+            raw_column("a", ("u", "v")),
+            raw_column("d", ("y", "n")),
         ]
         columns, maps = discretize_columns(cols, "d")
         assert maps == {}
         assert columns == cols
-        assert from_columns(columns, "d").domains["a"] == ("u", "v")
+        assert domain_of(from_columns(columns, "d"), "a") == ("u", "v")
 
     def test_decision_must_exist(self):
         with pytest.raises(ValueError):
             discretize_columns(
-                [raw_column("a", "categorical", ("u",))], "d"
+                [raw_column("a", ("u",))], "d"
             )
 
     def test_labels_each_domain_value_once(self):
         """Equal values written apart are two domain entries with one label;
         the labels take the order their first values have among the codes."""
         cols = [
-            RawColumn("a", "numeric", (8.0, 1.0, 8.0, 2.0), (0, 1, 2, 3, 1, 0)),
-            raw_column("d", "categorical", ("B", "A", "B", "A", "A", "B")),
+            RawColumn("a", (8.0, 1.0, 8.0, 2.0), (0, 1, 2, 3, 1, 0)),
+            raw_column("d", ("B", "A", "B", "A", "A", "B")),
         ]
         columns, maps = discretize_columns(cols, "d", threshold=0, max_intervals=2)
         assert maps["a"].cut_points == (5.0,)
@@ -280,17 +280,15 @@ class TestDiscretizeColumns:
 
     @pytest.mark.parametrize("code", [-1, 2])
     def test_code_outside_domain_raises(self, code):
-        cols = [
-            RawColumn("a", "numeric", (1.0, 2.0), (0, 1, code)),
-            raw_column("d", "categorical", ("A", "B", "B")),
-        ]
-        with pytest.raises((IndexError, KeyError)):
-            discretize_columns(cols, "d")
+        """A numeric column with a code outside its domain cannot be built,
+        so the relabelling never meets one."""
+        with pytest.raises(ValueError, match=f"object 'x3': code {code} outside domain of 'a'"):
+            RawColumn("a", (1.0, 2.0), (0, 1, code))
 
     def test_decision_must_be_categorical(self):
         cols = [
-            raw_column("a", "categorical", ("u",)),
-            raw_column("d", "numeric", (1.0,)),
+            raw_column("a", ("u",)),
+            raw_column("d", (1.0,)),
         ]
         with pytest.raises(ValueError):
             discretize_columns(cols, "d")

@@ -99,8 +99,8 @@ def onenn(table, train_rows, values):
 
 def tiny_table(a_cells, d_cells):
     return from_columns(
-        [raw_column("a", "categorical", tuple(a_cells)),
-         raw_column("d", "categorical", tuple(d_cells))],
+        [raw_column("a", tuple(a_cells)),
+         raw_column("d", tuple(d_cells))],
         "d",
     )
 
@@ -121,8 +121,8 @@ class TestNaiveBayes:
 
     def test_unseen_value_is_smoothed(self):
         cols = [
-            raw_column("a", "categorical", ("0", "0", "1", "1", "2")),
-            raw_column("d", "categorical", ("y", "y", "n", "n", "n")),
+            raw_column("a", ("0", "0", "1", "1", "2")),
+            raw_column("d", ("y", "y", "n", "n", "n")),
         ]
         full = from_columns(cols, "d")
         model = nb_train(full, [0, 1, 2, 3])  # value "2" never seen in training
@@ -145,7 +145,7 @@ class TestOneNearestNeighbour:
         # x5 = (MSc, Medium, Yes, Neutral); nearest of the rest is x4 at
         # distance 1, decision Accept
         predicted = onenn(admissions, [0, 1, 2, 3, 5, 6, 7], condition_rows(admissions)[4])
-        assert admissions.domains["Decision"][predicted] == "Accept"
+        assert admissions.decision.domain[predicted] == "Accept"
 
     def test_identical_training_rows(self):
         # the held-out fourth row gives the query value 1 a code
@@ -155,7 +155,7 @@ class TestOneNearestNeighbour:
     def test_distance_tie_keeps_earliest_row(self):
         # query "2" is at distance 1 from both training rows
         table = tiny_table(("0", "1", "2"), ("first", "second", "first"))
-        assert table.domains["d"][onenn(table, [0, 1], (2,))] == "first"
+        assert table.decision.domain[onenn(table, [0, 1], (2,))] == "first"
 
 
 class TestCrossValidateAndCompare:
@@ -222,7 +222,7 @@ class TestCrossValidateAndCompare:
         """Row masks are built per call, not kept on the table or shared
         with its projections."""
         assert [f.name for f in dataclasses.fields(DecisionTable)] == [
-            "condition_attrs", "decision_attr", "codes", "domains",
+            "condition", "decision",
         ]
 
     def test_plan_holds_only_its_constructor_fields(self, admissions):

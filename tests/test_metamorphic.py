@@ -40,7 +40,7 @@ def tables(draw):
 
 def pipeline(rows):
     names = [f"a{i}" for i in range(len(rows[0]) - 1)] + ["d"]
-    columns = [raw_column(name, "categorical", cells) for name, cells in zip(names, zip(*rows))]
+    columns = [raw_column(name, cells) for name, cells in zip(names, zip(*rows))]
     result = run_pipeline(from_columns(columns, "d"), trace=True)
     return result.reduct, result.isolated, result.trace
 

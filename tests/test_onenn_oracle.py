@@ -11,6 +11,7 @@ from rredux import cross_validate, from_columns, stratified_folds
 from rredux.evaluate import nearest_row
 from rredux.table import row_masks
 from conftest import raw_column
+from keyed_table_oracle import keyed
 
 
 @st.composite
@@ -31,9 +32,9 @@ def tables(draw):
 
 
 def _table(rows, decisions):
-    columns = [raw_column(f"a{a}", "categorical", tuple(str(row[a]) for row in rows))
+    columns = [raw_column(f"a{a}", tuple(str(row[a]) for row in rows))
                for a in range(len(rows[0]))]
-    columns.append(raw_column("d", "categorical", tuple(map(str, decisions))))
+    columns.append(raw_column("d", tuple(map(str, decisions))))
     return from_columns(columns, "d")
 
 
@@ -54,11 +55,11 @@ def test_cross_validate_matches_oracle(data, k, seed):
     rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
     if table.m == 1:
         # no fold plan fits one row: train on it and predict it instead
-        train = eval_oracle.subset(table, [0])
+        train = eval_oracle.subset(keyed(table), [0])
         assert (table.column("d")[nearest_row(row_masks(table), 1, rows[0])]
                 == eval_oracle.onenn_predict(train, rows[0]))
         return
     plan = stratified_folds(table, min(k, table.m), seed)
     for classifier in ("nb", "1nn"):
         assert (cross_validate(table, plan, classifier)
-                == eval_oracle.cross_validate(table, plan, classifier))
+                == eval_oracle.cross_validate(keyed(table), plan, classifier))

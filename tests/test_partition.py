@@ -112,8 +112,8 @@ class TestArguments:
 
     def test_constant_attribute_gives_decision_partition(self):
         cols = [
-            raw_column("a", "categorical", ("k", "k", "k", "k")),
-            raw_column("d", "categorical", ("y", "n", "y", "n")),
+            raw_column("a", ("k", "k", "k", "k")),
+            raw_column("d", ("y", "n", "y", "n")),
         ]
         table = from_columns(cols, "d")
         assert block_sets(relative_blocks(table, "a")) == block_sets(
@@ -158,8 +158,8 @@ class TestConsistency:
 
     def test_single_object(self):
         table = from_columns(
-            [raw_column("a", "categorical", ("u",)),
-             raw_column("d", "categorical", ("y",))],
+            [raw_column("a", ("u",)),
+             raw_column("d", ("y",))],
             "d",
         )
         assert consistency(table) == 1.0

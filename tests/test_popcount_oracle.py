@@ -33,9 +33,9 @@ def _table(seed, m, arities, nd):
     """A table whose condition columns and decision hold exactly ``arities``
     and ``nd`` distinct values over ``m`` rows."""
     rng = random.Random(seed)
-    raw = [raw_column(f"a{i}", "categorical", tuple(map(str, _column(rng, m, k))))
+    raw = [raw_column(f"a{i}", tuple(map(str, _column(rng, m, k))))
            for i, k in enumerate(arities)]
-    raw.append(raw_column("d", "categorical", tuple(map(str, _column(rng, m, nd)))))
+    raw.append(raw_column("d", tuple(map(str, _column(rng, m, nd)))))
     return from_columns(raw, "d")
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import rredux
 from rredux.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -67,3 +68,10 @@ def test_reduct_command():
     with contextlib.redirect_stdout(out):
         assert main(shlex.split(command)[1:]) == 0
     assert out.getvalue() == want + "\n"
+
+
+def test_package_surface_list():
+    """The names README gives as "`rredux.__all__` is exactly this list"."""
+    start = README.index("`rredux.__all__` is exactly this list:\n")
+    bullets = README[start:].split("\n\n")[1]
+    assert set(re.findall(r"`(\w+)`", bullets)) == set(rredux.__all__)

@@ -24,10 +24,10 @@ def edge_view(elements):
 def twin_column_table():
     """Five objects; a and b are identical columns, c is independent."""
     cols = [
-        raw_column("a", "categorical", ("u", "u", "v", "v", "u")),
-        raw_column("b", "categorical", ("u", "u", "v", "v", "u")),
-        raw_column("c", "categorical", ("u", "u", "u", "v", "v")),
-        raw_column("d", "categorical", ("n", "y", "n", "y", "y")),
+        raw_column("a", ("u", "u", "v", "v", "u")),
+        raw_column("b", ("u", "u", "v", "v", "u")),
+        raw_column("c", ("u", "u", "u", "v", "v")),
+        raw_column("d", ("n", "y", "n", "y", "y")),
     ]
     return from_columns(cols, "d")
 
@@ -283,8 +283,8 @@ class TestRunPipeline:
 
     def test_single_attribute_table(self):
         cols = [
-            raw_column("a", "categorical", ("u", "v")),
-            raw_column("d", "categorical", ("y", "n")),
+            raw_column("a", ("u", "v")),
+            raw_column("d", ("y", "n")),
         ]
         result = run_pipeline(from_columns(cols, "d"))
         assert result.reduct == ("a",)

@@ -10,6 +10,7 @@ from rredux import cross_validate, from_columns, stratified_folds
 from rredux.evaluate import CLASSIFIERS, nb_predict, nb_train, nearest_row
 from rredux.table import row_masks
 from conftest import raw_column
+from keyed_table_oracle import keyed
 
 TABLES = 240
 
@@ -22,11 +23,11 @@ def random_columns(rng, index):
     for a in range(rng.randint(1, 6)):
         arity = rng.randint(1, 6)
         columns.append(
-            raw_column(f"a{a}", "categorical", tuple(f"v{rng.randrange(arity)}" for _ in range(m)))
+            raw_column(f"a{a}", tuple(f"v{rng.randrange(arity)}" for _ in range(m)))
         )
     classes = 1 if index % 7 == 0 else rng.randint(1, 4)
     decision = tuple(f"c{rng.randrange(classes)}" for _ in range(m))
-    columns.insert(rng.randint(0, len(columns)), raw_column("d", "categorical", decision))
+    columns.insert(rng.randint(0, len(columns)), raw_column("d", decision))
     return columns
 
 
@@ -60,12 +61,12 @@ def test_columns_and_classifiers_match_row_oracle():
         table = from_columns(columns, "d")
         condition, rows, domains = eval_oracle.encode_rows(columns, "d")
         assert table.condition_attrs == condition
-        assert table.domains == domains
+        assert keyed(table).domains == domains
         names = condition + ("d",)
         assert tuple(zip(*(table.column(a) for a in names))) == rows
 
         sizes = [len(domains[a]) for a in condition]
-        assert (eval_oracle.nb_train(table, range(table.m))
+        assert (eval_oracle.nb_train(keyed(table), range(table.m))
                 == eval_oracle.nb_train_rows(rows, sizes))
         # train on every row and predict every row: the only split of one row
         everything = range(table.m)
@@ -104,10 +105,10 @@ def test_nb_log_terms_match_count_oracle():
         decisions = table.column("d")
         train = sorted(rng.sample(range(table.m), rng.randint(1, table.m)))
         model = nb_train(table, train)
-        oracle = eval_oracle.nb_train(table, train)
+        oracle = eval_oracle.nb_train(keyed(table), train)
         # every row of the table, then random rows over the whole domains
         rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
-        sizes = [len(table.domains[a]) for a in table.condition_attrs]
+        sizes = [len(col.domain) for col in table.condition]
         rows += [tuple(rng.randrange(n) for n in sizes) for _ in range(20)]
         for values in rows:
             assert nb_predict(model, values) == eval_oracle.nb_predict(oracle, values)

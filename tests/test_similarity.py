@@ -86,9 +86,9 @@ class TestMatrix:
 
     def test_identical_columns_score_one_both_ways(self):
         cols = [
-            raw_column("a", "categorical", ("u", "u", "v", "v")),
-            raw_column("b", "categorical", ("u", "u", "v", "v")),
-            raw_column("d", "categorical", ("y", "n", "y", "n")),
+            raw_column("a", ("u", "u", "v", "v")),
+            raw_column("b", ("u", "u", "v", "v")),
+            raw_column("d", ("y", "n", "y", "n")),
         ]
         mat = matrix(from_columns(cols, "d"))
         assert factor_of(mat, "a", "b") == 1.0
@@ -96,8 +96,8 @@ class TestMatrix:
 
     def test_single_attribute(self):
         cols = [
-            raw_column("a", "categorical", ("u", "v")),
-            raw_column("d", "categorical", ("y", "n")),
+            raw_column("a", ("u", "v")),
+            raw_column("d", ("y", "n")),
         ]
         mat = matrix(from_columns(cols, "d"))
         assert mat.values == ((1.0,),)

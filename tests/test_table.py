@@ -13,8 +13,9 @@ from rredux import (
     parse_columns,
 )
 from rredux.table import project, row_masks
-from conftest import make_random_table, raw_column
+from conftest import domain_of, make_random_table, raw_column
 from eval_oracle import subset
+from keyed_table_oracle import keyed
 
 
 def parse_columns_text(text: str, **kwargs):
@@ -28,7 +29,7 @@ def parse_text(text: str, **kwargs):
 def decoded_row(table, index):
     """The object's cell labels (conditions then decision)."""
     names = table.condition_attrs + (table.decision_attr,)
-    return tuple(table.domains[a][table.column(a)[index]] for a in names)
+    return tuple(domain_of(table, a)[table.column(a)[index]] for a in names)
 
 
 class TestParseCsv:
@@ -36,8 +37,8 @@ class TestParseCsv:
         assert admissions.m == 8
         assert admissions.condition_attrs == ("i", "e", "f", "r")
         assert admissions.decision_attr == "Decision"
-        assert admissions.domains["i"] == ("MBA", "MCE", "MSc")
-        assert admissions.domains["Decision"] == ("Accept", "Reject")
+        assert domain_of(admissions, "i") == ("MBA", "MCE", "MSc")
+        assert admissions.decision.domain == ("Accept", "Reject")
 
     def test_cell_round_trip(self, admissions):
         assert decoded_row(admissions, 0) == ("MBA", "Medium", "Yes", "Excellent", "Accept")
@@ -134,21 +135,21 @@ class TestParseCsv:
 class TestNumericDetection:
     def test_integer_only_column_stays_categorical(self):
         columns, _ = parse_columns_text("a,d\n1,yes\n2,no\n")
-        assert columns[0].kind == "categorical"
-        assert from_columns(columns, "d").domains["a"] == ("1", "2")
+        assert not columns[0].numeric
+        assert domain_of(from_columns(columns, "d"), "a") == ("1", "2")
 
     def test_real_literal_makes_column_numeric(self):
         columns, _ = parse_columns_text("a,d\n1.5,yes\n2,no\n")
-        assert columns[0].kind == "numeric"
+        assert columns[0].numeric
         assert columns[0].cells == (1.5, 2.0)
 
     def test_exponent_literal_counts_as_real(self):
         columns, _ = parse_columns_text("a,d\n1e2,yes\n2,no\n")
-        assert columns[0].kind == "numeric"
+        assert columns[0].numeric
 
     def test_flag_forces_integer_column_numeric(self):
         columns, _ = parse_columns_text("a,d\n1,yes\n2,no\n", numeric_cols=["a"])
-        assert columns[0].kind == "numeric"
+        assert columns[0].numeric
         assert columns[0].cells == (1.0, 2.0)
 
     def test_flagged_column_with_text_cell(self):
@@ -165,8 +166,8 @@ class TestNumericDetection:
 
     def test_non_finite_literals_stay_categorical(self):
         columns, _ = parse_columns_text("a,d\ninf,yes\nnan,no\n")
-        assert columns[0].kind == "categorical"
-        assert from_columns(columns, "d").domains["a"] == ("inf", "nan")
+        assert not columns[0].numeric
+        assert domain_of(from_columns(columns, "d"), "a") == ("inf", "nan")
 
     def test_non_finite_flagged_numeric_rejected(self):
         with pytest.raises(ValidationError):
@@ -207,127 +208,97 @@ class TestProjectAndSubset:
             sub = project(table, attrs)
             assert row_masks(sub) == tuple(
                 tuple(sum(1 << i for i, c in enumerate(sub.column(a)) if c == code)
-                      for code in range(len(sub.domains[a])))
+                      for code in range(len(domain_of(sub, a))))
                 for a in attrs
             )
 
     def test_subset_preserves_ids_and_domains(self, admissions):
-        sub = subset(admissions, [1, 4, 6])
+        table = keyed(admissions)
+        sub = subset(table, [1, 4, 6])
         assert sub.m == 3
-        assert sub.domains == admissions.domains
+        assert sub.domains == table.domains
         assert sub.codes == {
-            a: tuple(column[i] for i in (1, 4, 6)) for a, column in admissions.codes.items()
+            a: tuple(column[i] for i in (1, 4, 6)) for a, column in table.codes.items()
         }
 
     def test_subset_empty(self, admissions):
         with pytest.raises(ValueError):
-            subset(admissions, [])
+            subset(keyed(admissions), [])
 
 
 class TestRawColumn:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown column kind 'ordinal'"):
-            RawColumn("a", "ordinal", ("u",), (0,))
-
     def test_cells_view(self):
-        column = RawColumn("a", "numeric", (1.0, 2.5, 1.0), (0, 1, 2, 1, 0))
+        column = RawColumn("a", (1.0, 2.5, 1.0), (0, 1, 2, 1, 0))
         assert column.cells == (1.0, 2.5, 1.0, 2.5, 1.0)
+
+    def test_kind_is_the_domain(self):
+        assert RawColumn("a", (1.0, 2.5), (0, 1)).numeric
+        for domain in ((), ("1.0", "2.5"), (1.0, "x"), (1, 2)):
+            assert not RawColumn("a", domain, ()).numeric, domain
 
 
 class TestFromColumns:
     def test_decision_column_required(self):
         with pytest.raises(ValueError, match="decision column 'd' not among columns"):
-            from_columns([raw_column("a", "categorical", ("u",))], "d")
+            from_columns([raw_column("a", ("u",))], "d")
 
     def test_numeric_column_rejected(self):
         cols = [
-            raw_column("a", "numeric", (1.0, 2.0)),
-            raw_column("d", "categorical", ("x", "y")),
+            raw_column("a", (1.0, 2.0)),
+            raw_column("d", ("x", "y")),
         ]
         with pytest.raises(ValueError, match="discretize"):
             from_columns(cols, "d")
 
     def test_decision_only_header(self):
         with pytest.raises(SchemaError):
-            from_columns([raw_column("d", "categorical", ("x",))], "d")
+            from_columns([raw_column("d", ("x",))], "d")
 
     def test_codes_first_appearance(self):
         cols = [
-            raw_column("a", "categorical", ("q", "p", "q")),
-            raw_column("d", "categorical", ("n", "y", "y")),
+            raw_column("a", ("q", "p", "q")),
+            raw_column("d", ("n", "y", "y")),
         ]
         table = from_columns(cols, "d")
-        assert table.domains["a"] == ("q", "p")
+        assert domain_of(table, "a") == ("q", "p")
         assert table.column("a") == (0, 1, 0)
 
 
 class TestDecisionTableInvariants:
     def test_needs_a_condition_attribute(self):
         with pytest.raises(ValueError, match="at least one condition attribute"):
-            DecisionTable((), "d", {"d": (0,)}, {"d": ("y",)})
+            DecisionTable((), RawColumn("d", ("y",), (0,)))
 
     def test_names_unique(self):
+        a, d = RawColumn("a", ("u",), (0,)), RawColumn("d", ("y",), (0,))
         with pytest.raises(ValueError, match="attribute names must be unique"):
-            DecisionTable(("a", "a"), "d", {"a": (0,), "d": (0,)}, {"a": ("u",), "d": ("y",)})
+            DecisionTable((a, a), d)
         with pytest.raises(ValueError, match="attribute names must be unique"):
-            DecisionTable(("d",), "d", {"d": (0,)}, {"d": ("y",)})
+            DecisionTable((d,), d)
 
     def test_needs_an_object(self):
         with pytest.raises(ValueError, match="at least one object"):
-            DecisionTable(("a",), "d", {"a": (), "d": ()}, {"a": (), "d": ()})
+            DecisionTable((RawColumn("a", (), ()),), RawColumn("d", (), ()))
 
     def test_column_length_checked(self, admissions):
-        bad = {**admissions.codes, "f": admissions.codes["f"][:-1]}
+        condition = tuple(RawColumn(c.name, c.domain, c.codes[:-1]) if c.name == "f" else c
+                          for c in admissions.condition)
         with pytest.raises(ValueError, match="'f': expected 8 codes, got 7"):
-            DecisionTable(
-                admissions.condition_attrs,
-                admissions.decision_attr,
-                bad,
-                admissions.domains,
-            )
+            DecisionTable(condition, admissions.decision)
 
-    def test_codes_keyed_by_attribute(self, admissions):
-        for bad in (
-            {a: c for a, c in admissions.codes.items() if a != "r"},
-            {**admissions.codes, "z": admissions.codes["r"]},
-        ):
-            with pytest.raises(ValueError, match="one column per attribute"):
-                DecisionTable(
-                    admissions.condition_attrs,
-                    admissions.decision_attr,
-                    bad,
-                    admissions.domains,
-                )
-
-    def test_domains_keyed_by_attribute(self):
-        codes = {"a": (0,), "d": (0,)}
-        for bad in ({"a": ("u",)}, {"a": ("u",), "d": ("y",), "z": ("w",)}):
-            with pytest.raises(ValueError, match="domains must hold one entry per attribute"):
-                DecisionTable(("a",), "d", codes, bad)
-
+    # the range check lives in RawColumn, where every column is built
     def test_code_outside_domain(self, admissions):
-        bad = {**admissions.codes, "i": admissions.codes["i"][:-1] + (9,)}
+        codes = admissions.column("i")[:-1] + (9,)
         with pytest.raises(ValueError, match="object 'x8': code 9 outside domain of 'i'"):
-            DecisionTable(
-                admissions.condition_attrs,
-                admissions.decision_attr,
-                bad,
-                admissions.domains,
-            )
+            RawColumn("i", domain_of(admissions, "i"), codes)
 
     def test_negative_code_outside_domain(self, admissions):
-        column = admissions.codes["Decision"]
-        bad = {**admissions.codes, "Decision": column[:2] + (-1,) + column[3:]}
+        column = admissions.column("Decision")
         with pytest.raises(ValueError, match="object 'x3': code -1 outside domain"):
-            DecisionTable(
-                admissions.condition_attrs,
-                admissions.decision_attr,
-                bad,
-                admissions.domains,
-            )
+            RawColumn("Decision", admissions.decision.domain, column[:2] + (-1,) + column[3:])
 
     def test_column_accessor(self, admissions):
-        assert admissions.column("i") is admissions.codes["i"]
+        assert admissions.column("i") is admissions.condition[0].codes
         assert admissions.column("Decision") == (0, 1, 1, 0, 1, 1, 0, 1)
         with pytest.raises(ValueError, match="unknown attribute 'z'"):
             admissions.column("z")
@@ -339,5 +310,5 @@ class TestDecisionTableInvariants:
             table = make_random_table(rng)
             assert table.m >= 1
             names = table.condition_attrs + (table.decision_attr,)
-            assert set(table.codes) == set(names)
-            assert all(len(column) == table.m for column in table.codes.values())
+            assert len(set(names)) == len(names)
+            assert all(len(col.codes) == table.m for col in table.condition + (table.decision,))
