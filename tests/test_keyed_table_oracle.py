@@ -82,22 +82,27 @@ def outcome(build):
 def test_table_matches_keyed_oracle(drawn):
     specs, _ = drawn
     got = outcome(lambda: library_view(library_table(specs)))
-    assert got == outcome(lambda: oracle_view(oracle_table(specs)))
+    names = [spec[0] for spec in specs]
+    if 1 < names.count("d") < len(names):
+        # the keyed oracle keeps the last column named ``d``; the library refuses
+        assert got == (ValueError, "attribute names must be unique")
+    else:
+        assert got == outcome(lambda: oracle_view(oracle_table(specs)))
 
 
 def test_every_fault_is_drawn_and_caught():
-    """Each fault kind turns up, and every fault but a repeated name raises:
-    a name repeated onto its own column is no fault, and both forms build
-    a table with a repeated ``d`` from the last column of that name."""
+    """Each fault kind turns up, and every fault raises but a name repeated
+    onto its own column, which is no fault."""
     seen = {fault: 0 for fault in BREAKS}
 
-    @settings(max_examples=200, database=None, derandomize=True)
+    @settings(max_examples=400, database=None, derandomize=True)
     @given(drawn=column_specs())
     def count(drawn):
         specs, fault = drawn
         seen[fault] += 1
         built = outcome(lambda: library_table(specs))
-        if fault not in ("none", "repeat"):
+        names = [spec[0] for spec in specs]
+        if fault not in ("none", "repeat") or len(set(names)) < len(names):
             assert isinstance(built, tuple), (fault, specs)
 
     count()

@@ -254,6 +254,12 @@ class TestFromColumns:
         with pytest.raises(SchemaError):
             from_columns([raw_column("d", ("x",))], "d")
 
+    def test_decision_name_repeated(self):
+        cols = [raw_column("a", ("u", "v")), raw_column("d", ("x", "x")),
+                raw_column("d", ("y", "z"))]
+        with pytest.raises(ValueError, match="attribute names must be unique"):
+            from_columns(cols, "d")
+
     def test_codes_first_appearance(self):
         cols = [
             raw_column("a", ("q", "p", "q")),
@@ -276,6 +282,11 @@ class TestDecisionTableInvariants:
         with pytest.raises(ValueError, match="attribute names must be unique"):
             DecisionTable((d,), d)
 
+    def test_condition_stored_as_tuple(self):
+        a, d = RawColumn("a", ("u",), (0,)), RawColumn("d", ("y",), (0,))
+        table = DecisionTable([a], d)
+        assert table.condition == (a,) and table.condition_attrs == ("a",)
+
     def test_needs_an_object(self):
         with pytest.raises(ValueError, match="at least one object"):
             DecisionTable((RawColumn("a", (), ()),), RawColumn("d", (), ()))
@@ -296,6 +307,10 @@ class TestDecisionTableInvariants:
         column = admissions.column("Decision")
         with pytest.raises(ValueError, match="object 'x3': code -1 outside domain"):
             RawColumn("Decision", admissions.decision.domain, column[:2] + (-1,) + column[3:])
+
+    def test_fractional_code_outside_domain(self):
+        with pytest.raises(ValueError, match="object 'x2': code 0.5 outside domain of 'a'"):
+            RawColumn("a", ("u", "v"), (0, 0.5))
 
     def test_column_accessor(self, admissions):
         assert admissions.column("i") is admissions.condition[0].codes
