@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 from .errors import ValidationError
@@ -63,18 +63,17 @@ class IntervalMap:
 
     ``cut_points`` are strictly increasing; interval ``i`` covers
     ``[cut_points[i-1], cut_points[i])`` with open ends at the extremes,
-    so every real value maps to exactly one of the ``labels``.
+    so every real value maps to exactly one of the derived ``labels``.
     """
 
     cut_points: tuple[float, ...]
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.labels) != len(self.cut_points) + 1:
-            raise ValueError("need exactly one label per interval")
         for lo, hi in zip(self.cut_points, self.cut_points[1:]):
             if not lo < hi:
                 raise ValueError("cut points must be strictly increasing")
+        object.__setattr__(self, "labels", _interval_labels(self.cut_points))
 
     def interval_of(self, value: float) -> int:
         return bisect_right(self.cut_points, value)
@@ -220,7 +219,7 @@ def chimerge(
         cut = (low[j - 1] + low[j]) / 2
         cuts.append(cut if low[j - 1] < cut <= low[j] else low[j])
         j = after[j]
-    return IntervalMap(tuple(cuts), _interval_labels(cuts))
+    return IntervalMap(tuple(cuts))
 
 
 def discretize_columns(
@@ -244,13 +243,14 @@ def discretize_columns(
     if decision.numeric:
         raise ValueError("decision column must be categorical")
 
+    classes = decision.cells
     maps: dict[str, IntervalMap] = {}
     converted: list[RawColumn] = []
     for col in columns:
         if not col.numeric:
             converted.append(col)
             continue
-        imap = chimerge(col.cells, decision.cells, threshold, max_intervals)
+        imap = chimerge(col.cells, classes, threshold, max_intervals)
         maps[col.name] = imap
         labels = list(map(imap.label_of, col.domain))
         index = {label: k for k, label in enumerate(dict.fromkeys(labels))}

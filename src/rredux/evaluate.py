@@ -34,7 +34,7 @@ class FoldPlan:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("folds must be >= 2")
-        if any(not 0 <= f < self.k for f in self.assignments):
+        if not all(isinstance(f, int) and 0 <= f < self.k for f in self.assignments):
             raise ValueError("fold index out of range")
 
     def fold_rows(self, fold: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -16,7 +16,6 @@ from typing import Hashable, Sequence
 from rredux.discretize import (
     DEFAULT_MAX_INTERVALS,
     IntervalMap,
-    _interval_labels,
     chi_square,
     default_threshold,
 )
@@ -79,4 +78,4 @@ def chimerge(
     for (_, top, _), (low, _, _) in zip(intervals, intervals[1:]):
         cut = (top + low) / 2
         cuts.append(cut if top < cut <= low else low)
-    return IntervalMap(tuple(cuts), _interval_labels(cuts))
+    return IntervalMap(tuple(cuts))

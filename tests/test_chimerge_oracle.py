@@ -1,8 +1,10 @@
 """The heap ChiMerge against the full-rescan loop it replaced, kept in
-``chimerge_oracle``, on generated tie-heavy columns; and ChiMerge's
-labels, which state their cuts exactly."""
+``chimerge_oracle``, on generated tie-heavy columns; ChiMerge's labels,
+which state their cuts exactly; and the labels an ``IntervalMap`` derives
+from its cuts."""
 
 import math
+from bisect import bisect_right
 
 import pytest
 
@@ -10,7 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import chimerge_oracle
-from rredux import chimerge
+from rredux import IntervalMap, chimerge
+from rredux.discretize import _interval_labels
 
 
 @st.composite
@@ -106,3 +109,40 @@ def test_every_label_bound_reads_back_as_its_cut(values):
     assert [float(hi) for _, hi in bounds[:-1]] == list(imap.cut_points)
     assert [float(lo) for lo, _ in bounds[1:]] == list(imap.cut_points)
     assert len(set(imap.labels)) == len(imap.labels) == len(values)
+
+
+@st.composite
+def increasing_cuts(draw):
+    """0-8 strictly increasing finite cuts: whole numbers; a run one ulp
+    apart from a random start or from near +-1.7e308; or any finite floats."""
+    kind = draw(st.sampled_from(["whole", "ulps", "any"]))
+    if kind == "whole":
+        return sorted(draw(st.lists(st.integers(-2**60, 2**60).map(float),
+                                    max_size=8, unique=True)))
+    if kind == "ulps":
+        value = draw(st.floats(-1e15, 1e15) | st.sampled_from([1.7e308, -1.7e308]))
+        cuts = [value]
+        for _ in range(draw(st.integers(0, 7))):
+            value = math.nextafter(value, math.inf)
+            cuts.append(value)
+        return cuts
+    return sorted(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                max_size=8, unique=True)))
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@example(cuts=[-1.7e308, math.nextafter(-1.7e308, math.inf), 0.0, 1.0, 1.7e308])
+@given(cuts=increasing_cuts())
+def test_labels_derive_from_the_cuts(cuts):
+    imap = IntervalMap(tuple(cuts))
+    assert imap.labels == _interval_labels(cuts)
+    assert len(set(imap.labels)) == len(imap.labels) == len(cuts) + 1
+    for cut in cuts:
+        for v in (math.nextafter(cut, -math.inf), cut, math.nextafter(cut, math.inf)):
+            assert imap.label_of(v) == imap.labels[bisect_right(cuts, v)]
+    if cuts:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            IntervalMap((*cuts, cuts[-1]))
+    if len(cuts) > 1:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            IntervalMap(tuple(reversed(cuts)))

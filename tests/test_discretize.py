@@ -225,11 +225,7 @@ class TestChimergeProperties:
 class TestIntervalMap:
     def test_cuts_must_increase(self):
         with pytest.raises(ValueError):
-            IntervalMap((2.0, 1.0), ("x", "y", "z"))
-
-    def test_label_count_checked(self):
-        with pytest.raises(ValueError):
-            IntervalMap((1.0,), ("x",))
+            IntervalMap((2.0, 1.0))
 
 
 class TestDiscretizeColumns:

@@ -13,7 +13,7 @@ from rredux import (
 )
 import rredux.evaluate
 from rredux.evaluate import CLASSIFIERS, FoldPlan, nb_predict, nb_train, nearest_row
-from rredux.table import DecisionTable, project, row_masks
+from rredux.table import DecisionTable, RawColumn, project, row_masks
 from rredux.jsonout import canonical
 from conftest import make_random_table, raw_column
 
@@ -75,6 +75,19 @@ class TestStratifiedFolds:
             FoldPlan(1, (0,))
         with pytest.raises(ValueError):
             FoldPlan(2, (0, 2))
+
+    @pytest.mark.parametrize("index", [0.5, 1.0, -1, 2])
+    def test_fold_index_is_an_int_below_k(self, index):
+        with pytest.raises(ValueError, match="fold index out of range"):
+            FoldPlan(2, (0, 1, 0, index))
+
+    @pytest.mark.parametrize("classifier", CLASSIFIERS)
+    def test_valid_plan_cross_validates(self, classifier):
+        # each fold trains on one x and one y row, so a predicts d exactly
+        a = RawColumn("a", ("x", "y"), (0, 1, 0, 1))
+        d = RawColumn("d", ("u", "v"), (0, 1, 0, 1))
+        report = cross_validate(DecisionTable([a], d), FoldPlan(2, (0, 0, 1, 1)), classifier)
+        assert report.fold_accuracies == (1.0, 1.0)
 
     def test_fold_rows_partition_objects(self, admissions):
         plan = stratified_folds(admissions, 3, seed=5)
