@@ -11,7 +11,7 @@ classification accuracy on the full versus the reduced attribute set.
 from .discretize import IntervalMap, chimerge, discretize_columns
 from .errors import DataError, ParseError, SchemaError, UsageError, ValidationError
 from .evaluate import EvalReport, compare, cross_validate, stratified_folds
-from .partition import blocks, consistency, decision_blocks, relative_blocks
+from .partition import blocks, consistency, relative_blocks
 from .reduct import ReductResult, ass_gen, comp_sim, run_pipeline, sin_red_gen
 from .similarity import SimilarityMatrix, matrix
 from .table import DecisionTable, RawColumn, from_columns, parse_columns
@@ -37,7 +37,6 @@ __all__ = [
     "compare",
     "consistency",
     "cross_validate",
-    "decision_blocks",
     "discretize_columns",
     "from_columns",
     "matrix",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Hashable, Sequence
 
 from .errors import ValidationError
@@ -57,8 +57,7 @@ CRITICAL_95 = {
 }
 
 
-@dataclass(frozen=True)
-class IntervalMap:
+class IntervalMap(namedtuple("IntervalMap", "cut_points labels")):
     """Discretization of one attribute into labelled intervals.
 
     ``cut_points`` are strictly increasing; interval ``i`` covers
@@ -66,14 +65,17 @@ class IntervalMap:
     so every real value maps to exactly one of the derived ``labels``.
     """
 
-    cut_points: tuple[float, ...]
-    labels: tuple[str, ...] = field(init=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(next(iter(fields))))  # for ``_replace``
 
-    def __post_init__(self):
-        for lo, hi in zip(self.cut_points, self.cut_points[1:]):
+    def __new__(cls, cut_points: tuple[float, ...]):
+        for lo, hi in zip(cut_points, cut_points[1:]):
             if not lo < hi:
                 raise ValueError("cut points must be strictly increasing")
-        object.__setattr__(self, "labels", _interval_labels(self.cut_points))
+        return super().__new__(cls, cut_points, _interval_labels(cut_points))
+
+    def __getnewargs__(self):  # copy and pickle pass back the cuts alone
+        return (self.cut_points,)
 
     def interval_of(self, value: float) -> int:
         return bisect_right(self.cut_points, value)

@@ -16,26 +16,25 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from collections import Counter, namedtuple
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 from .table import DecisionTable, bitsets, project, row_masks
 
 
-@dataclass(frozen=True)
-class FoldPlan:
+class FoldPlan(namedtuple("FoldPlan", "k assignments")):
     """Per-object fold assignment for k-fold cross-validation."""
 
-    k: int
-    assignments: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("folds must be >= 2")
-        if not all(isinstance(f, int) and 0 <= f < self.k for f in self.assignments):
+    def __new__(cls, k: int, assignments: tuple[int, ...]):
+        if not isinstance(k, int) or k < 2:
+            raise ValueError(f"folds must be an int >= 2, got {k!r}")
+        if not all(isinstance(f, int) and 0 <= f < k for f in assignments):
             raise ValueError("fold index out of range")
+        return super().__new__(cls, k, assignments)
 
     def fold_rows(self, fold: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(train rows, test rows) for one fold, in table order."""
@@ -44,8 +43,7 @@ class FoldPlan:
         return train, test
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Accuracy of one classifier on one attribute set.
 
     ``cross_validate`` builds it: one accuracy in [0, 1] per fold, and

@@ -29,11 +29,6 @@ def blocks(table: DecisionTable, attrs: Iterable[str]) -> tuple[tuple[int, ...],
     return tuple(tuple(g) for g in groups.values())
 
 
-def decision_blocks(table: DecisionTable) -> tuple[tuple[int, ...], ...]:
-    """Partition of the objects by decision value."""
-    return blocks(table, [table.decision_attr])
-
-
 def relative_blocks(table: DecisionTable, attr: str) -> tuple[tuple[int, ...], ...]:
     """Partition by ``attr`` refined by the decision attribute.
 

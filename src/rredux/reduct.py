@@ -22,16 +22,15 @@ Each stage takes the :class:`SimilaritySet` the stage before it returns;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import similarity
-from .partition import blocks, decision_blocks
+from .partition import blocks
 from .similarity import SimilarityMatrix
 from .table import DecisionTable
 
 
-@dataclass(frozen=True)
-class SimilarityElement:
+class SimilarityElement(NamedTuple):
     """One similarity edge: ``left`` is similar to the attributes in ``right``.
 
     Selected and filtered elements have a singleton right and carry their
@@ -45,8 +44,7 @@ class SimilarityElement:
     factor: float | None = None
 
 
-@dataclass(frozen=True)
-class SimilaritySet:
+class SimilaritySet(NamedTuple):
     """An ordered similarity set; selected and filtered sets keep the average
     factor of the selected elements."""
 
@@ -54,8 +52,7 @@ class SimilaritySet:
     avg_factor: float | None = None
 
 
-@dataclass(frozen=True)
-class ReductResult:
+class ReductResult(NamedTuple):
     """The reduct plus a trace: ``sin_red_gen`` records its iterations, and
     ``run_pipeline`` the complete stage-by-stage record.
 
@@ -204,8 +201,8 @@ def run_pipeline(table: DecisionTable, trace: bool = False) -> ReductResult:
     if trace:
         ids = [f"x{i + 1}" for i in range(table.m)]
         record["partitions"] = {
-            "decision": _blocks_json(ids, decision_blocks(table)),
+            "decision": _blocks_json(ids, blocks(table, [table.decision_attr])),
             "plain": {a: _blocks_json(ids, blocks(table, [a])) for a in mat.attrs},
             "relative": {a: _blocks_json(ids, mat.relative[a]) for a in mat.attrs},
         }
-    return replace(result, trace=record)
+    return result._replace(trace=record)

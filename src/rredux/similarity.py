@@ -29,8 +29,7 @@ Both directions are averaged with ``exact_mean``.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations
 from operator import add, itemgetter
@@ -42,18 +41,15 @@ from .table import DecisionTable, bitsets
 Blocks = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
+class SimilarityMatrix(namedtuple("SimilarityMatrix", "attrs values table", defaults=(None,))):
     """All pairwise similarity factors over a table's condition attributes.
 
     ``values[i][j]`` is the factor of ``attrs[i]`` toward ``attrs[j]``;
     the diagonal is fixed at 1.0.  ``table``, if given, is the table the
-    factors were counted on; it takes no part in comparison or repr.
+    factors were counted on; like the other fields, it takes part in
+    comparison and repr.  The matrix has no ``__slots__``: its instance
+    ``__dict__`` holds the cached ``relative``.
     """
-
-    attrs: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
-    table: DecisionTable | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def relative(self) -> dict[str, Blocks]:

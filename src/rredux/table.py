@@ -22,8 +22,7 @@ import csv
 import io
 import math
 import re
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from itertools import compress, islice, repeat, takewhile
 from operator import attrgetter
 from typing import BinaryIO, Iterable, Sequence
@@ -33,8 +32,7 @@ from .errors import ParseError, SchemaError, UsageError, ValidationError
 MISSING_TOKENS = frozenset({"", "?"})
 
 
-@dataclass(frozen=True)
-class RawColumn:
+class RawColumn(namedtuple("RawColumn", "name domain codes")):
     """A column: its distinct values and one code per object.
 
     ``domain`` has one entry per distinct cell text in first-appearance
@@ -45,15 +43,15 @@ class RawColumn:
     built, and nowhere else.
     """
 
-    name: str
-    domain: tuple
-    codes: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
 
-    def __post_init__(self):
-        codes, bad = self.codes, set(self.codes).difference(range(len(self.domain)))
+    def __new__(cls, name: str, domain: tuple, codes: tuple[int, ...]):
+        bad = set(codes).difference(range(len(domain)))
         if bad:  # one C pass over the codes, where min and max take two
             i = next(i for i, code in enumerate(codes) if code in bad)
-            raise ValueError(f"object 'x{i + 1}': code {codes[i]} outside domain of {self.name!r}")
+            raise ValueError(f"object 'x{i + 1}': code {codes[i]} outside domain of {name!r}")
+        return super().__new__(cls, name, domain, codes)
 
     @property
     def numeric(self) -> bool:
@@ -66,8 +64,7 @@ class RawColumn:
         return tuple(map(self.domain.__getitem__, self.codes))
 
 
-@dataclass(frozen=True)
-class DecisionTable:
+class DecisionTable(namedtuple("DecisionTable", "condition decision")):
     """Immutable categorical decision table: its condition columns and its
     decision column.
 
@@ -75,11 +72,11 @@ class DecisionTable:
     named ``x{i+1}``.
     """
 
-    condition: tuple[RawColumn, ...]
-    decision: RawColumn
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "condition", tuple(self.condition))  # from any sequence
+    def __new__(cls, condition: Sequence[RawColumn], decision: RawColumn):
+        self = super().__new__(cls, tuple(condition), decision)  # from any sequence
         if len(self.condition) < 1:
             raise ValueError("a decision table needs at least one condition attribute")
         names = self.condition_attrs + (self.decision_attr,)
@@ -93,6 +90,7 @@ class DecisionTable:
                 raise ValueError(f"column {col.name!r}: expected {m} codes, got {len(col.codes)}")
             if col.numeric:
                 raise ValueError(f"column {col.name!r} is numeric; discretize it first")
+        return self
 
     @property
     def condition_attrs(self) -> tuple[str, ...]:

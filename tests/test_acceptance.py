@@ -33,7 +33,7 @@ from rredux.cli import main
 from rredux.discretize import chi_square, chimerge
 from rredux.evaluate import compare, nb_train, nb_predict, stratified_folds
 from rredux.jsonout import canonical
-from rredux.partition import blocks, decision_blocks, relative_blocks
+from rredux.partition import blocks, relative_blocks
 from rredux.reduct import comp_sim, run_pipeline, select_pairs, sin_red_gen, ass_gen
 from rredux.similarity import SimilarityMatrix, matrix
 from rredux.table import from_columns

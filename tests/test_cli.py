@@ -310,7 +310,6 @@ class TestUntraced:
             raise AssertionError("partition built for a run without --trace")
 
         monkeypatch.setattr(rredux.reduct, "blocks", refuse)
-        monkeypatch.setattr(rredux.reduct, "decision_blocks", refuse)
         monkeypatch.setattr(rredux.similarity, "relative_blocks", refuse)
 
     @pytest.mark.parametrize("command", ["reduct", "evaluate"])

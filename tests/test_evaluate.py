@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import Counter
 
@@ -80,6 +79,13 @@ class TestStratifiedFolds:
     def test_fold_index_is_an_int_below_k(self, index):
         with pytest.raises(ValueError, match="fold index out of range"):
             FoldPlan(2, (0, 1, 0, index))
+
+    @pytest.mark.parametrize("k", [2.0, 2.5])
+    def test_fold_count_is_an_int(self, k):
+        # a float k used to build, then fail in ``range(plan.k)``
+        with pytest.raises(ValueError, match="^folds must be"):
+            FoldPlan(k, (0, 1, 0, 1))
+        assert FoldPlan(2, (0, 1, 0, 1)).k == 2
 
     @pytest.mark.parametrize("classifier", CLASSIFIERS)
     def test_valid_plan_cross_validates(self, classifier):
@@ -234,9 +240,7 @@ class TestCrossValidateAndCompare:
     def test_table_holds_only_its_constructor_fields(self):
         """Row masks are built per call, not kept on the table or shared
         with its projections."""
-        assert [f.name for f in dataclasses.fields(DecisionTable)] == [
-            "condition", "decision",
-        ]
+        assert DecisionTable._fields == ("condition", "decision")
 
     def test_plan_holds_only_its_constructor_fields(self, admissions):
         """``cross_validate`` builds the fold bitsets it needs and leaves
@@ -244,7 +248,8 @@ class TestCrossValidateAndCompare:
         plan = stratified_folds(admissions, 3, seed=4)
         for classifier in CLASSIFIERS:
             cross_validate(admissions, plan, classifier)
-            assert vars(plan) == {"k": 3, "assignments": plan.assignments}
+            assert plan._asdict() == {"k": 3, "assignments": plan.assignments}
+            assert not hasattr(plan, "__dict__")
 
     def test_empty_reduct_rejected(self, admissions):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
-"""Every name a ``rredux`` module imports is used in that module.
+"""Every name a ``rredux`` module imports is used in that module, and
+importing the CLI pulls in no heavy standard module.
 
 A deletion that leaves its import behind fails here.  ``__init__.py`` is
 exempt: its imports are the package surface.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,20 @@ def test_every_import_is_referenced(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
     unused = _imported(tree) - _referenced(tree)
     assert unused == {name for mod, name in UNREFERENCED if mod == module}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded once ``code`` has run in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """``dataclasses`` imports ``inspect``, which costs more at start-up than
+    the records it would build."""
+    added = _modules_after("import rredux.cli") - _modules_after("pass")
+    assert not added & {"dataclasses", "inspect"}

@@ -5,7 +5,6 @@ import pytest
 from rredux import (
     blocks,
     consistency,
-    decision_blocks,
     from_columns,
     relative_blocks,
 )
@@ -64,7 +63,7 @@ class TestSampleTableGoldens:
         )
 
     def test_decision_partition(self, admissions):
-        assert ids(admissions, decision_blocks(admissions)) == groups(
+        assert ids(admissions, blocks(admissions, [admissions.decision_attr])) == groups(
             ("x1", "x4", "x7"), ("x2", "x3", "x5", "x6", "x8")
         )
 
@@ -117,7 +116,7 @@ class TestArguments:
         ]
         table = from_columns(cols, "d")
         assert block_sets(relative_blocks(table, "a")) == block_sets(
-            decision_blocks(table)
+            blocks(table, ["d"])
         )
 
 
@@ -141,7 +140,7 @@ class TestPartitionLaws:
                 )
                 # refinement of both parents
                 assert refines(part, blocks(table, [attr]))
-                assert refines(part, decision_blocks(table))
+                assert refines(part, blocks(table, [table.decision_attr]))
 
 
 class TestConsistency:
