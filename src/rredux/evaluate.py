@@ -47,7 +47,8 @@ class EvalReport(NamedTuple):
     """Accuracy of one classifier on one attribute set.
 
     ``cross_validate`` builds it: one accuracy in [0, 1] per fold, and
-    ``mean_accuracy`` is their sum over the fold count.
+    ``mean_accuracy`` is their ``math.fsum`` over the fold count, which
+    neither the fold order nor the Python version moves.
     """
 
     classifier: str
@@ -56,7 +57,7 @@ class EvalReport(NamedTuple):
 
     @property
     def mean_accuracy(self) -> float:
-        return sum(self.fold_accuracies) / len(self.fold_accuracies)
+        return math.fsum(self.fold_accuracies) / len(self.fold_accuracies)
 
 
 def stratified_folds(table: DecisionTable, k: int, seed: int) -> FoldPlan:

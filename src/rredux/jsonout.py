@@ -9,13 +9,16 @@ any arithmetic reordering.
 Everything else already matches the stdlib encoder's default form
 (``", "`` and ``": "`` separators, ``ensure_ascii=False``), so a list or
 tuple whose elements are all exactly ``str``, ``int``, ``bool`` or
-``None`` -- such as the object-id lists of a trace's partitions -- goes
-through the C encoder in one call.  The types must match exactly, not by
-``isinstance``: the encoder writes an ``int`` subclass by the base
-type's rules, where this module calls the value's own ``str``, so an
-``int``-valued ``Enum`` (and, on Python 3.10, an ``IntEnum``) would print
-differently.  Dicts, and lists holding anything else, are written
-element by element.
+``None`` goes through the C encoder in one call.  The types must match
+exactly, not by ``isinstance``: the encoder writes an ``int`` subclass
+by the base type's rules, where this module calls the value's own
+``str``, so an ``int``-valued ``Enum`` (and, on Python 3.10, an
+``IntEnum``) would print differently.  A non-empty list of strings whose
+joined text is ``isprintable()`` and holds no ``"`` or ``\\`` -- such as
+the object-id lists of a trace's partitions -- is joined without the
+encoder: it escapes only those two and U+0000-U+001F, and writes a
+``str`` subclass as ``join`` does.  Dicts, and lists holding anything
+else, are written element by element.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ class ExactFloat(float):
 def canonical(value) -> str:
     """Serialize ``value`` to canonical JSON text (no trailing newline)."""
     if isinstance(value, (list, tuple)):
+        try:
+            text = "".join(value)
+        except TypeError:  # not all strings: a text the check below refuses
+            text = "\\"
+        if value and text.isprintable() and '"' not in text and "\\" not in text:
+            return '["' + '", "'.join(value) + '"]'
         if set(map(type, value)) <= _PLAIN:
             return _encode(value)
         return "[" + ", ".join(map(canonical, value)) + "]"

@@ -15,7 +15,8 @@ the same integer counts either way, and reads both directions from them:
   values and k_A * k_B * nd is cheap next to one pass over the m rows
   (``_popcount_pays``).  Each (a, d) cell of A is the row mask of a
   (``table.bitsets``) and'ed with that of d, and count(a, b, d) is the
-  popcount of that cell and'ed with b's row mask.
+  popcount of that cell and'ed with b's row mask.  The loop runs over
+  the side with fewer non-empty cells: B's against A's masks count alike.
 - **Joint count** otherwise.  Each row's (a, d) cell is one int, ``a *
   nd + d``, below ``width``, the largest domain size times nd.  One
   ``Counter`` pass over the rows counts the keys ``cell_A * width +
@@ -23,7 +24,8 @@ the same integer counts either way, and reads both directions from them:
   ``key % width`` give back the two cells, and they share d, because
   both come from the same row.
 
-Both directions are averaged with ``exact_mean``.
+Both directions are averaged as ``exact_mean`` would, from each
+attribute's ``_weights``, taken once, not once per partner.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .partition import relative_blocks
@@ -80,13 +82,13 @@ def _popcount_pays(k_a: int, k_b: int, nd: int, m: int) -> bool:
     """Whether popcount counts a pair faster than one joint-count pass.
 
     Measured per pair (Python 3.11, 2-vCPU VM, 3 classes), popcount costs
-    about k_A * k_B * nd * (0.2 us + m * 0.08 ns) and the joint count about
-    m * 0.1-0.2 us.  The two cross at k_A * k_B * nd of about 110 at 200
-    rows, 700 at 800, 1,400 at 2,000, and 1,300-1,600 from 10,000 to
-    100,000 rows.  The rule below cuts at 385, 889, 1,212, 1,504 and
-    1,575-1,590 on those sizes.  Between the two cuts the pair is counted
-    at most 1.3 times slower than it could be, and that worst case, at 200
-    rows, costs under 0.1 ms.
+    about k_A * k_B * nd * (0.1 us + m * 0.06 ns) plus 1 us per cell it
+    loops over, and the joint count about m * 0.05-0.3 us.  The two cross
+    at k_A * k_B * nd of about 65 at 200 rows, 600 at 800, 1,150-1,300 at
+    2,000, 1,300-1,400 at 10,000 and 1,100-1,200 at 100,000.  The rule
+    below cuts at 385, 889, 1,212, 1,504 and 1,575-1,590 on those sizes.
+    Between the two cuts popcount is at most 1.5 times slower than the
+    joint count: about 0.03 ms a pair at 200 rows, 3 ms at 100,000.
     """
     return (max(k_a, k_b, nd) <= _MASK_DOMAIN
             and k_a * k_b * nd * (40 + m / 16) < 100 * m)
@@ -126,6 +128,13 @@ def _best_by_joint_count(scaled: Sequence[int], keys: Sequence[int], width: int)
     return best_a, best_b
 
 
+def _weights(sizes: dict[int, int]) -> tuple[dict[int, int], int]:
+    """Per non-empty cell, ``common // count(a, d)``, and the divisor
+    ``common * len(sizes)``, where ``common`` is the counts' lcm."""
+    common = math.lcm(*sizes.values())
+    return {c: common // n for c, n in sizes.items()}, common * len(sizes)
+
+
 def matrix(table: DecisionTable) -> SimilarityMatrix:
     """Pairwise similarity factors, each pair counted once by popcount or by
     a joint count, whichever ``_popcount_pays`` picks."""
@@ -142,24 +151,25 @@ def matrix(table: DecisionTable) -> SimilarityMatrix:
     by_decision = bitsets(decision, nd) if masked else ()
     width = max(arity) * nd
     keys = {k: list(map(add, map(nd.__mul__, columns[k]), decision)) for k in keyed}
-    sizes = {}  # k -> {cell: count(a, d)} over the non-empty cells
+    weights, divisor = {}, {}  # per attribute, from count(a, d) over its non-empty cells
     for k in masked:
         counts = map(int.bit_count, _cells(masks[k], by_decision))
-        sizes[k] = {c: n for c, n in enumerate(counts) if n}
+        weights[k], divisor[k] = _weights({c: n for c, n in enumerate(counts) if n})
     for k in keyed - masked:
-        sizes[k] = Counter(keys[k])
+        weights[k], divisor[k] = _weights(Counter(keys[k]))
     values = [[1.0] * len(attrs) for _ in attrs]
     for i in range(len(attrs) - 1):
         later = range(i + 1, len(attrs))
-        if any((i, j) in by_popcount for j in later):
-            cells = _cells(masks[i], by_decision)  # built for row i, dropped after it
         if not all((i, j) in by_popcount for j in later):
             scaled = [c * width for c in keys[i]]
         for j in later:
-            if (i, j) in by_popcount:
-                best_i, best_j = _best_by_popcount(cells, masks[j], nd)
-            else:
+            if (i, j) not in by_popcount:
                 best_i, best_j = _best_by_joint_count(scaled, keys[j], width)
-            values[i][j] = exact_mean((best_i[c], n) for c, n in sizes[i].items())
-            values[j][i] = exact_mean((best_j[c], n) for c, n in sizes[j].items())
+            elif len(weights[j]) < len(weights[i]):  # loop over the fewer cells
+                best_j, best_i = _best_by_popcount(_cells(masks[j], by_decision), masks[i], nd)
+            else:
+                best_i, best_j = _best_by_popcount(_cells(masks[i], by_decision), masks[j], nd)
+            for k, best, other in ((i, best_i, j), (j, best_j, i)):
+                w = weights[k]
+                values[k][other] = sum(map(mul, map(best.__getitem__, w), w.values())) / divisor[k]
     return SimilarityMatrix(attrs, tuple(map(tuple, values)), table)

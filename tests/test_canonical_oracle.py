@@ -32,6 +32,17 @@ class Ratio(float):
     pass
 
 
+class Color(str, enum.Enum):
+    RED = "red"
+    QUOTE = 'q"'
+
+
+# the characters JSON escapes, and some it writes as they stand that are
+# not ``isprintable()``
+ESCAPED = [*map(chr, range(0x20)), '"', "\\"]
+UNPRINTABLE = ["\x7f", "\u2028", "\ud800"]
+
+
 # any code point, lone surrogates included, and the characters JSON escapes
 CHARS = st.one_of(
     st.characters(),
@@ -81,6 +92,23 @@ def _outcome(emit, value):
 @example(value=[Ratio(0.5), -0.0, 1e300, float("nan"), float("-inf")])
 @example(value={"a": [1], 2: "b"})
 @example(value=[[set()], b"x", object()])
+@example(value=ESCAPED + UNPRINTABLE)
+@example(value=[""])
+@example(value=["", ""])
+@example(value=("x1", "x2", "\u00e9"))
+@example(value=[Tag("x1"), "x2", Tag('t"')])
+@example(value=[Color.RED, "x1"])
+@example(value=[Color.QUOTE])
+@example(value=["x1", 2, "x3"])
+@example(value=[f"x{i}" for i in range(1, 2001)])
 @given(value=VALUES)
 def test_canonical_matches_oracle(value):
     assert _outcome(canonical, value) == _outcome(canonical_oracle.canonical, value)
+
+
+@pytest.mark.parametrize("char", ESCAPED + UNPRINTABLE + [" ", "\u00a0", "\u00e9", "\U0001f600"])
+def test_joined_lists_escape_like_the_oracle(char):
+    """One character at the start, inside or at the end of one string
+    among clean ones."""
+    for value in (["x1", char], ["x1", f"a{char}b", "x3"], (f"{char}a",)):
+        assert canonical(value) == canonical_oracle.canonical(value)

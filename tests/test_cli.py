@@ -502,6 +502,17 @@ class TestEvaluate:
             report["reduced"]["mean_accuracy"] - report["full"]["mean_accuracy"]
         )
 
+    def test_equal_means_give_a_zero_delta(self):
+        """Both sides' fold accuracies sum to 1/2 + 12/7 exactly, but adding
+        them left to right gives means one ulp apart, so the delta printed
+        ``-0.000000`` on Python 3.10 and 3.11 and ``0.000000`` from 3.12 on."""
+        code, out, _ = run_cli(
+            "evaluate", "--input", str(DATA / "fsum_delta.csv"), "--classifier", "nb",
+            "--folds", "4", "--seed", "333", "--output", "json",
+        )
+        assert code == 0
+        assert '"delta": 0.000000,' in out
+
     def test_text_report(self):
         code, out, _ = run_cli(
             "evaluate", "--input", ADMISSIONS, "--folds", "2", "--seed", "7"

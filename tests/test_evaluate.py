@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -11,7 +12,7 @@ from rredux import (
     stratified_folds,
 )
 import rredux.evaluate
-from rredux.evaluate import CLASSIFIERS, FoldPlan, nb_predict, nb_train, nearest_row
+from rredux.evaluate import CLASSIFIERS, EvalReport, FoldPlan, nb_predict, nb_train, nearest_row
 from rredux.table import DecisionTable, RawColumn, project, row_masks
 from rredux.jsonout import canonical
 from conftest import make_random_table, raw_column
@@ -255,6 +256,12 @@ class TestCrossValidateAndCompare:
         with pytest.raises(ValueError):
             compare(admissions, (), 2, 0, "nb")
 
+    def test_mean_accuracy_ignores_fold_order(self):
+        """Left to right, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 round apart."""
+        means = {EvalReport("nb", ("a",), folds).mean_accuracy
+                 for folds in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1))}
+        assert means == {math.fsum((0.1, 0.2, 0.3)) / 3}
+
     def test_report_invariants(self):
         """Reports come only from ``cross_validate``: one accuracy in [0, 1]
         per fold, and their mean."""
@@ -270,7 +277,7 @@ class TestCrossValidateAndCompare:
             for report in (full, reduced):
                 assert len(report.fold_accuracies) == k
                 assert all(0.0 <= a <= 1.0 for a in report.fold_accuracies)
-                assert report.mean_accuracy == sum(report.fold_accuracies) / k
+                assert report.mean_accuracy == math.fsum(report.fold_accuracies) / k
 
     def test_classifiers_get_one_code_per_attribute_and_training_rows(self, monkeypatch):
         """nb_predict and nearest_row do not check their arguments; their
