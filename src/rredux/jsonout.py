@@ -1,31 +1,24 @@
 """Canonical JSON emission for machine-readable CLI output.
 
-Byte-stable for a given value: single line, keys sorted, every float
-rendered with exactly six decimal places, except an ``ExactFloat`` that
-six decimals would round.  The fixed float format is the point; the
-stdlib encoder's shortest-repr floats would make golden files churn on
-any arithmetic reordering.
+Each value is written by its JSON type, as the stdlib encoder writes it
+(``", "`` and ``": "`` separators, ``ensure_ascii=False``): a subclass of
+``int``, ``float`` or ``str`` is written as its base type, never by its
+own ``str``, ``repr`` or ``format``.  The text is also byte-stable: one
+line, keys sorted, every float with exactly six decimals (except an
+``ExactFloat`` that six decimals would round), so golden files do not
+churn on any arithmetic reordering as shortest-repr floats would.
 
-Everything else already matches the stdlib encoder's default form
-(``", "`` and ``": "`` separators, ``ensure_ascii=False``), so a list or
-tuple whose elements are all exactly ``str``, ``int``, ``bool`` or
-``None`` goes through the C encoder in one call.  The types must match
-exactly, not by ``isinstance``: the encoder writes an ``int`` subclass
-by the base type's rules, where this module calls the value's own
-``str``, so an ``int``-valued ``Enum`` (and, on Python 3.10, an
-``IntEnum``) would print differently.  A non-empty list of strings whose
-joined text is ``isprintable()`` and holds no ``"`` or ``\\`` -- such as
-the object-id lists of a trace's partitions -- is joined without the
-encoder: it escapes only those two and U+0000-U+001F, and writes a
-``str`` subclass as ``join`` does.  Dicts, and lists holding anything
-else, are written element by element.
+A non-empty list or tuple of strings whose joined text is
+``isprintable()`` and holds no ``"`` or ``\\`` -- such as a trace's
+object-id lists -- is joined without the encoder, since it escapes only
+those two and U+0000-U+001F.  Dicts and every other list are written
+element by element.
 """
 
 from __future__ import annotations
 
 import json
 
-_PLAIN = frozenset({str, int, bool, type(None)})
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
@@ -43,8 +36,6 @@ def canonical(value) -> str:
             text = "\\"
         if value and text.isprintable() and '"' not in text and "\\" not in text:
             return '["' + '", "'.join(value) + '"]'
-        if set(map(type, value)) <= _PLAIN:
-            return _encode(value)
         return "[" + ", ".join(map(canonical, value)) + "]"
     if isinstance(value, dict):
         for key in value:
@@ -57,10 +48,11 @@ def canonical(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        return int.__repr__(value)
     if isinstance(value, float):
-        text = f"{value:.6f}"
-        return repr(value) if type(value) is ExactFloat and float(text) != value else text
+        text = float.__format__(value, ".6f")
+        exact = isinstance(value, ExactFloat) and float(text) != value
+        return float.__repr__(value) if exact else text
     if isinstance(value, str):
         return _encode(value)
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")

@@ -1,5 +1,5 @@
 """The all-Python canonical JSON emitter that ``rredux.jsonout.canonical``
-replaced with one stdlib-encoder call per plain list.
+replaced with faster paths for lists.
 
 It recurses into every value, so it is plainly the definition the faster
 emitter must reproduce: sorted keys, six-decimal floats, strings through
@@ -19,9 +19,9 @@ def canonical(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        return int.__repr__(value)
     if isinstance(value, float):
-        return f"{value:.6f}"
+        return float.__format__(value, ".6f")
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):

@@ -2,6 +2,7 @@
 it replaced, kept in ``canonical_oracle``, on generated nested values."""
 
 import enum
+import json
 
 import pytest
 
@@ -18,8 +19,8 @@ class Level(enum.IntEnum):
 
 
 class Mode(int, enum.Enum):
-    """An int mix-in without ``IntEnum``: ``str`` gives ``Mode.FAST``, where
-    the C encoder would write the int."""
+    """An int mix-in without ``IntEnum``: ``str`` gives ``Mode.FAST``, so
+    both emitters write it as the encoder does, by ``int.__repr__``."""
 
     FAST = 1
 
@@ -35,6 +36,23 @@ class Ratio(float):
 class Color(str, enum.Enum):
     RED = "red"
     QUOTE = 'q"'
+
+
+class Half(float, enum.Enum):
+    HALF = 0.5
+
+
+class Shown(float):
+    def __format__(self, spec):
+        return "R!"
+
+    def __repr__(self):
+        return "R!"
+
+
+class Counted(int):
+    def __str__(self):
+        return "C!"
 
 
 # the characters JSON escapes, and some it writes as they stand that are
@@ -112,3 +130,22 @@ def test_joined_lists_escape_like_the_oracle(char):
     among clean ones."""
     for value in (["x1", char], ["x1", f"a{char}b", "x3"], (f"{char}a",)):
         assert canonical(value) == canonical_oracle.canonical(value)
+
+
+def _six(value):
+    """``value`` with every float in it rounded to six decimals."""
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, list):
+        return list(map(_six, value))
+    if isinstance(value, dict):
+        return {key: _six(item) for key, item in value.items()}
+    return value
+
+
+def test_number_subclasses_are_written_as_their_base_type():
+    """As the stdlib encoder writes them, never by the subclass's own
+    ``str``, ``repr`` or ``format``, bare, in a list and as a dict value."""
+    for number in (Level.LOW, Level.HIGH, Mode.FAST, Half.HALF, Shown(1 / 3), Counted(7)):
+        for value in (number, [number], {"k": number}):
+            assert _six(json.loads(canonical(value))) == _six(json.loads(json.dumps(value)))
