@@ -226,8 +226,7 @@ def cmd_discretize(args) -> int:
             sidecar.write(canonical(payload) + "\n")
     writer = csv.writer(sys.stdout, delimiter=args.delimiter, lineterminator="\n")
     writer.writerow([col.name for col in columns])
-    for row in zip(*(col.cells for col in columns)):
-        writer.writerow(row)
+    writer.writerows(zip(*(col.cells for col in columns)))
     return 0
 
 

@@ -245,14 +245,13 @@ def discretize_columns(
     if decision.numeric:
         raise ValueError("decision column must be categorical")
 
-    classes = decision.cells
     maps: dict[str, IntervalMap] = {}
     converted: list[RawColumn] = []
     for col in columns:
         if not col.numeric:
             converted.append(col)
             continue
-        imap = chimerge(col.cells, classes, threshold, max_intervals)
+        imap = chimerge(col.cells, decision.codes, threshold, max_intervals)
         maps[col.name] = imap
         labels = list(map(imap.label_of, col.domain))
         index = {label: k for k, label in enumerate(dict.fromkeys(labels))}

@@ -13,10 +13,10 @@ the same integer counts either way, and reads both directions from them:
 
 - **Popcount**, when both domains and the decision's have at most 256
   values and k_A * k_B * nd is cheap next to one pass over the m rows
-  (``_popcount_pays``).  Each (a, d) cell of A is the row mask of a
-  (``table.bitsets``) and'ed with that of d, and count(a, b, d) is the
-  popcount of that cell and'ed with b's row mask.  The loop runs over
-  the side with fewer non-empty cells: B's against A's masks count alike.
+  (``_popcount_pays``).  Each (a, d) cell is a mask over class d's rows
+  only (``table.bitsets`` of the class's codes), and count(a, b, d) is
+  the popcount of A's cell (a, d) and'ed with B's cell (b, d).  The loop
+  runs over the side with fewer non-empty cells: either side counts alike.
 - **Joint count** otherwise.  Each row's (a, d) cell is one int, ``a *
   nd + d``, below ``width``, the largest domain size times nd.  One
   ``Counter`` pass over the rows counts the keys ``cell_A * width +
@@ -73,8 +73,8 @@ def exact_mean(ratios: Iterable[tuple[int, int]]) -> float:
     return sum(n * (common // s) for n, s in ratios) / (common * len(ratios))
 
 
-# The largest domain whose row masks ``matrix`` builds: per attribute 256
-# masks of m bits, 32 bytes per row, at most.
+# The largest domain whose cells ``matrix`` builds: per attribute and class
+# 256 masks of one bit per row of the class, 32 bytes per row, at most.
 _MASK_DOMAIN = 256
 
 
@@ -82,37 +82,33 @@ def _popcount_pays(k_a: int, k_b: int, nd: int, m: int) -> bool:
     """Whether popcount counts a pair faster than one joint-count pass.
 
     Measured per pair (Python 3.11, 2-vCPU VM, 3 classes), popcount costs
-    about k_A * k_B * nd * (0.1 us + m * 0.06 ns) plus 1 us per cell it
-    loops over, and the joint count about m * 0.05-0.3 us.  The two cross
-    at k_A * k_B * nd of about 65 at 200 rows, 600 at 800, 1,150-1,300 at
-    2,000, 1,300-1,400 at 10,000 and 1,100-1,200 at 100,000.  The rule
-    below cuts at 385, 889, 1,212, 1,504 and 1,575-1,590 on those sizes.
-    Between the two cuts popcount is at most 1.5 times slower than the
-    joint count: about 0.03 ms a pair at 200 rows, 3 ms at 100,000.
+    about k_A * k_B * nd * (0.1 us + m / nd * 0.06 ns), each AND spanning
+    one class's rows, and the joint count about m * 0.1-0.25 us.  The two
+    cross at k_A * k_B * nd of about 110 at 200 rows, 750 at 800, 1,700 at
+    2,000, 6,000 at 10,000 and 4,800 at 100,000; the rule below cuts at
+    381, 889, 1,212, 1,504 and 1,590.  So popcount runs up to 2 times
+    slower below 800 rows (0.03 ms a pair), and the joint count up to 2
+    times slower from 2,000 rows on (about 4 ms a pair at 100,000).
     """
     return (max(k_a, k_b, nd) <= _MASK_DOMAIN
             and k_a * k_b * nd * (40 + m / 16) < 100 * m)
 
 
-def _cells(masks: Sequence[int], by_decision: Sequence[int]) -> list[int]:
-    """The row mask of each (a, d) cell, at index ``a * nd + d``."""
-    return [mask & rows for mask in masks for rows in by_decision]
-
-
-def _best_by_popcount(cells: Sequence[int], masks: Sequence[int], nd: int):
-    """Per cell of A, max_b count(a, b, d), and per (b, d) cell of B, max_a
-    count(a, b, d), from count(a, b, d) = popcount(cell (a, d) & mask b)."""
-    best_a, best_b = [0] * len(cells), [0] * (len(masks) * nd)
-    # per decision, the count rows of its cells after a zero row, so that
-    # ``map(max, *rows)`` has two sequences or more to take column maxima of
-    rows = [[[0] * len(masks)] for _ in range(nd)]
-    for c, cell in enumerate(cells):
-        if cell:
-            row = list(map(int.bit_count, map(cell.__and__, masks)))
-            best_a[c] = max(row)
-            rows[c % nd].append(row)
-    for d in range(nd):
-        best_b[d::nd] = map(max, *rows[d])
+def _best_by_popcount(cells_a: Sequence[Sequence[int]], cells_b: Sequence[Sequence[int]], nd: int):
+    """Per (a, d) cell of A, max_b count(a, b, d), and per (b, d) cell of B,
+    max_a count(a, b, d), each at index ``a * nd + d``, from count(a, b, d)
+    = popcount(cells_a[d][a] & cells_b[d][b]), one class at a time."""
+    best_a, best_b = [0] * (len(cells_a[0]) * nd), [0] * (len(cells_b[0]) * nd)
+    for d, (row_a, row_b) in enumerate(zip(cells_a, cells_b)):
+        # the class's count rows after two zero rows, so that ``map(max, *rows)``
+        # takes column maxima even when no cell of the class is non-empty
+        rows = [[0] * len(row_b)] * 2
+        for a, cell in enumerate(row_a):
+            if cell:
+                row = list(map(int.bit_count, map(cell.__and__, row_b)))
+                best_a[a * nd + d] = max(row)
+                rows.append(row)
+        best_b[d::nd] = map(max, *rows)
     return best_a, best_b
 
 
@@ -147,14 +143,20 @@ def matrix(table: DecisionTable) -> SimilarityMatrix:
     by_popcount = {(i, j) for i, j in pairs if _popcount_pays(arity[i], arity[j], nd, table.m)}
     masked = {k for pair in by_popcount for k in pair}
     keyed = {k for pair in pairs if pair not in by_popcount for k in pair}
-    masks = {k: bitsets(columns[k], arity[k]) for k in masked}
-    by_decision = bitsets(decision, nd) if masked else ()
+    by_class = [[] for _ in range(nd)]
+    for r, d in enumerate(decision if masked else ()):
+        by_class[d].append(r)
+    # itemgetter(*rows) gathers fastest, but of one row it returns the code
+    # itself, not a tuple, and of none it raises: those classes take a list
+    gathers = [itemgetter(*rows) if len(rows) > 1 else lambda c, rows=rows: [c[r] for r in rows]
+               for rows in by_class]
+    cells = {k: [bitsets(gather(columns[k]), arity[k]) for gather in gathers] for k in masked}
     width = max(arity) * nd
     keys = {k: list(map(add, map(nd.__mul__, columns[k]), decision)) for k in keyed}
     weights, divisor = {}, {}  # per attribute, from count(a, d) over its non-empty cells
     for k in masked:
-        counts = map(int.bit_count, _cells(masks[k], by_decision))
-        weights[k], divisor[k] = _weights({c: n for c, n in enumerate(counts) if n})
+        weights[k], divisor[k] = _weights({a * nd + d: n for d, row in enumerate(cells[k])
+                                           for a, n in enumerate(map(int.bit_count, row)) if n})
     for k in keyed - masked:
         weights[k], divisor[k] = _weights(Counter(keys[k]))
     values = [[1.0] * len(attrs) for _ in attrs]
@@ -166,9 +168,9 @@ def matrix(table: DecisionTable) -> SimilarityMatrix:
             if (i, j) not in by_popcount:
                 best_i, best_j = _best_by_joint_count(scaled, keys[j], width)
             elif len(weights[j]) < len(weights[i]):  # loop over the fewer cells
-                best_j, best_i = _best_by_popcount(_cells(masks[j], by_decision), masks[i], nd)
+                best_j, best_i = _best_by_popcount(cells[j], cells[i], nd)
             else:
-                best_i, best_j = _best_by_popcount(_cells(masks[i], by_decision), masks[j], nd)
+                best_i, best_j = _best_by_popcount(cells[i], cells[j], nd)
             for k, best, other in ((i, best_i, j), (j, best_j, i)):
                 w = weights[k]
                 values[k][other] = sum(map(mul, map(best.__getitem__, w), w.values())) / divisor[k]

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import chimerge_oracle
 from rredux import IntervalMap, chimerge
 from rredux.discretize import _interval_labels
+from conftest import raw_column
 
 
 @st.composite
@@ -82,6 +83,16 @@ def test_heap_merge_matches_full_rescan(column, threshold, cap):
     want = chimerge_oracle.chimerge(values, labels, threshold, cap)
     assert got.cut_points == want.cut_points
     assert got.labels == want.labels
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(column=tie_heavy_columns(),
+       threshold=st.sampled_from([None, 0, 1, 3.84, 100]),
+       cap=st.integers(1, 8))
+def test_class_texts_and_their_codes_give_one_map(column, threshold, cap):
+    values, labels = column
+    codes = raw_column("d", labels).codes
+    assert chimerge(values, codes, threshold, cap) == chimerge(values, labels, threshold, cap)
 
 
 @st.composite

@@ -256,6 +256,15 @@ class TestDiscretizeColumns:
         assert columns == cols
         assert domain_of(from_columns(columns, "d"), "a") == ("u", "v")
 
+    def test_no_numeric_columns_reads_no_cells(self, monkeypatch):
+        cols = [raw_column("a", ("u", "v")), raw_column("d", ("y", "n"))]
+
+        def unread(column):
+            raise AssertionError(f"read the cells of {column.name!r}")
+
+        monkeypatch.setattr(RawColumn, "cells", property(unread))
+        assert discretize_columns(cols, "d") == (cols, {})
+
     def test_decision_must_exist(self):
         with pytest.raises(ValueError):
             discretize_columns(

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from rredux import (
+    DecisionTable,
+    RawColumn,
     SimilarityMatrix,
     blocks,
     from_columns,
     matrix,
     relative_blocks,
+    run_pipeline,
 )
 from conftest import factor_of, make_random_table, raw_column
 from member_count_oracle import factor
@@ -101,6 +104,15 @@ class TestMatrix:
         ]
         mat = matrix(from_columns(cols, "d"))
         assert mat.values == ((1.0,),)
+
+    @pytest.mark.parametrize("domain, code", [(("yes", "no"), 0), (("no", "yes"), 1)])
+    def test_a_decision_value_no_row_holds_changes_nothing(self, domain, code):
+        condition = [RawColumn("a", ("x", "y"), (0, 1, 0, 1)),
+                     RawColumn("b", ("p", "q"), (0, 0, 1, 1))]
+        unused = DecisionTable(condition, RawColumn("d", domain, (code,) * 4))
+        held = DecisionTable(condition, RawColumn("d", ("yes",), (0,) * 4))
+        assert matrix(unused).values == matrix(held).values
+        assert run_pipeline(unused, trace=True).trace == run_pipeline(held, trace=True).trace
 
     def test_relative_needs_the_table(self, admissions):
         mat = matrix(admissions)

@@ -59,13 +59,14 @@ TIED = _table(3, 17, [3, 3], 2)
 
 
 def test_examples_loop_over_the_side_they_name(monkeypatch):
-    """Each example's one pair takes popcount, and the masks it loops
-    against are the other side's."""
+    """Each example's one pair takes popcount, and the per-class cells it
+    loops against are the other side's."""
     looped_against = []
+    best_by_popcount = similarity._best_by_popcount
 
-    def recording(cells, masks, nd):
-        looped_against.append(masks)
-        return per_pair_mean_oracle._best_by_popcount(cells, masks, nd)
+    def recording(cells_a, cells_b, nd):
+        looped_against.append(cells_b)
+        return best_by_popcount(cells_a, cells_b, nd)
 
     monkeypatch.setattr(similarity, "_best_by_popcount", recording)
     for table, other in ((LOOPS_OVER_A, 1), (LOOPS_OVER_B, 0), (TIED, 1)):
@@ -74,7 +75,10 @@ def test_examples_loop_over_the_side_they_name(monkeypatch):
         looped_against.clear()
         matrix(table)
         column = table.condition[other]
-        assert looped_against == [similarity.bitsets(column.codes, len(column.domain))]
+        by_class = [[r for r, d in enumerate(table.decision.codes) if d == c]
+                    for c in range(len(table.decision.domain))]
+        assert looped_against == [[similarity.bitsets([column.codes[r] for r in rows],
+                                                      len(column.domain)) for rows in by_class]]
 
 
 @settings(max_examples=300, **SETTINGS)
