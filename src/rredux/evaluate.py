@@ -4,12 +4,12 @@ Folds are stratified: objects are shuffled within each decision class by
 a seeded PRNG and dealt round-robin onto the folds, with the dealing
 position carried across classes.  That keeps both the fold sizes and
 each class's spread over folds within one object of even.  Two small
-deterministic classifiers are built in: naive Bayes, trained once per
-fold as log terms and scoring a row by lookups, whose ties go to the
-lowest class code, and 1-NN under Hamming distance on the table's
-per-value row masks (``table.row_masks``), whose ties go to the earliest
-training row.  Accuracy deltas between the full table and a projection
-are computed on identical fold assignments.
+deterministic classifiers are built in: naive Bayes, counted once over
+all rows and, per fold, less the fold's own rows and scored a column at
+a time, whose ties go to the lowest class code, and 1-NN under Hamming
+distance on the table's per-value row masks (``table.row_masks``), whose
+ties go to the earliest training row.  Accuracy deltas between the
+full table and a projection are computed on identical fold assignments.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, namedtuple
+from itertools import repeat
+from operator import add, itemgetter, mul
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -86,46 +88,38 @@ def stratified_folds(table: DecisionTable, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k, tuple(assignments))
 
 
-def nb_train(table: DecisionTable, rows: Sequence[int]) -> list[tuple[int, float, list]]:
-    """Naive Bayes with add-one smoothing, trained on the given rows.
+def _keys(codes: Sequence[int], decisions: Sequence[int], nd: int):
+    """``code * nd + class`` for each row: one key per (code, class) pair."""
+    return map(add, map(mul, codes, repeat(nd)), decisions)
 
-    One entry per class seen in ``rows``, lowest code first: the class
-    code, its log prior, and one term per condition attribute.  A term is
-    a dict from each code seen with the class to its log likelihood,
-    smoothed over the attribute's domain, and the one log likelihood
-    shared by the codes not seen with it, so unseen codes never zero out
-    a class.
+
+def nb_fold(table: DecisionTable, totals: Sequence[Counter], class_totals: Counter,
+            test: Sequence[int]) -> list[int]:
+    """Naive Bayes with add-one smoothing: the class of each test row.
+
+    ``totals``, a ``Counter`` of ``_keys`` per condition attribute, and
+    ``class_totals`` count every row; less the test rows' own counts they
+    count the training rows.  A row's score is the log prior plus each
+    attribute's log likelihood, smoothed over its domain, summed a column
+    at a time in attribute order; ties go to the lowest class code.
     """
-    decision = table.column(table.decision_attr)
-    decisions = [decision[i] for i in rows]
-    class_counts = Counter(decisions)
-    classes = sorted(class_counts)
-    model = [(c, math.log(class_counts[c] / len(rows)), []) for c in classes]
-    for col in table.condition:
-        column, size = col.codes, len(col.domain)
+    # itemgetter of one index gives the item, not a tuple
+    gather = itemgetter(*test) if len(test) > 1 else lambda codes: (codes[test[0]],)
+    nd = len(table.decision.domain)
+    decisions = gather(table.decision.codes)
+    counts = class_totals - Counter(decisions)
+    classes = sorted(counts)
+    scores = [[math.log(counts[c] / (table.m - len(test)))] * len(test) for c in classes]
+    for col, total in zip(table.condition, totals):
+        codes, size = gather(col.codes), len(col.domain)
         logs: dict[int, dict[int, float]] = {c: {} for c in classes}
-        for (value, cls), seen in Counter(zip([column[i] for i in rows], decisions)).items():
-            logs[cls][value] = math.log((seen + 1) / (class_counts[cls] + size))
-        for cls, _, terms in model:
-            terms.append((logs[cls], math.log(1 / (class_counts[cls] + size))))
-    return model
-
-
-def nb_predict(model: Sequence[tuple[int, float, list]], values: Sequence[int]) -> int:
-    """Most probable class for a row of condition-attribute codes.
-
-    The log prior plus each attribute's log likelihood, summed in
-    attribute order; ties go to the lowest class code.  ``values`` holds
-    one code per term of ``nb_train``'s model.
-    """
-    best_cls = None
-    best_score = -math.inf
-    for cls, score, terms in model:
-        for (logs, unseen), value in zip(terms, values):
-            score += logs.get(value, unseen)
-        if score > best_score:
-            best_cls, best_score = cls, score
-    return best_cls
+        for key, n in (total - Counter(_keys(codes, decisions, nd))).items():
+            code, c = divmod(key, nd)
+            logs[c][code] = math.log((n + 1) / (counts[c] + size))
+        for i, c in enumerate(classes):
+            unseen = math.log(1 / (counts[c] + size))
+            scores[i] = list(map(add, scores[i], map(logs[c].get, codes, repeat(unseen))))
+    return [classes[row.index(max(row))] for row in zip(*scores)]
 
 
 def nearest_row(masks: Sequence[Sequence[int]], train: int, values: Sequence[int]) -> int:
@@ -165,8 +159,8 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
     """Per-fold accuracies of one classifier under a fixed fold plan.
 
     Each fold's classifier sees only the rows outside the fold.  ``nb``
-    is trained on them by index; ``1nn`` takes them as one bitset over the
-    table's ``table.row_masks``.
+    counts them as all rows less the fold's own; ``1nn`` takes them as one
+    bitset over the table's ``table.row_masks``.
     """
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {classifier!r}")
@@ -174,9 +168,13 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
         raise ValueError(
             f"fold plan covers {len(plan.assignments)} objects, the table has {table.m}"
         )
-    rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
     decisions = table.column(table.decision_attr)
-    if classifier == "1nn":
+    if classifier == "nb":
+        nd = len(table.decision.domain)
+        totals = [Counter(_keys(col.codes, decisions, nd)) for col in table.condition]
+        class_totals = Counter(decisions)
+    else:
+        rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
         masks = row_masks(table)
         in_fold = bitsets(plan.assignments, plan.k)
         everyone = (1 << table.m) - 1
@@ -186,8 +184,7 @@ def cross_validate(table: DecisionTable, plan: FoldPlan, classifier: str) -> Eva
         if not train_rows or not test_rows:
             raise ValueError(f"fold {fold} leaves no training or no test rows")
         if classifier == "nb":
-            model = nb_train(table, train_rows)
-            predicted = [nb_predict(model, rows[i]) for i in test_rows]
+            predicted = nb_fold(table, totals, class_totals, test_rows)
         else:
             train = everyone ^ in_fold[fold]
             predicted = [decisions[nearest_row(masks, train, rows[i])] for i in test_rows]

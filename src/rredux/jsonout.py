@@ -51,6 +51,8 @@ def canonical(value) -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         text = float.__format__(value, ".6f")
+        if text.endswith(("nan", "inf")):  # no JSON form; ``json.dumps(allow_nan=False)`` agrees
+            raise ValueError(f"float {text} is not JSON compliant")
         exact = isinstance(value, ExactFloat) and float(text) != value
         return float.__repr__(value) if exact else text
     if isinstance(value, str):

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from rredux import DecisionTable, RawColumn, from_columns, parse_columns
+from rredux.evaluate import _keys, nb_fold
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -59,6 +61,15 @@ def random_tables():
         return [make_random_table(rng, **kwargs) for _ in range(n)]
 
     return stream
+
+
+def nb_classes(table: DecisionTable, test) -> list[int]:
+    """The classes ``nb_fold`` gives the ``test`` rows, trained on every
+    other row, from the counts ``cross_validate`` takes over all rows."""
+    decisions = table.column(table.decision_attr)
+    nd = len(table.decision.domain)
+    totals = [Counter(_keys(col.codes, decisions, nd)) for col in table.condition]
+    return nb_fold(table, totals, Counter(decisions), test)
 
 
 def factor_of(mat, source: str, target: str) -> float:

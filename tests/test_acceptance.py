@@ -31,12 +31,12 @@ from math import floor, isclose
 
 from rredux.cli import main
 from rredux.discretize import chi_square, chimerge
-from rredux.evaluate import compare, nb_train, nb_predict, stratified_folds
+from rredux.evaluate import FoldPlan, compare, cross_validate, stratified_folds
 from rredux.jsonout import canonical
 from rredux.partition import blocks, relative_blocks
 from rredux.reduct import comp_sim, run_pipeline, select_pairs, sin_red_gen, ass_gen
 from rredux.similarity import SimilarityMatrix, matrix
-from rredux.table import from_columns
+from rredux.table import DecisionTable, from_columns
 from conftest import factor_of, raw_column
 from member_count_oracle import factor
 
@@ -379,7 +379,6 @@ def test_evaluation_harness(admissions, random_tables):
         raw_column("d", ("yes", "yes", "no", "no", "no")),
     ]
     tiny = from_columns(columns, "d")
-    model = nb_train(tiny, range(tiny.m))
 
     def posterior(cls, query):
         decision = tiny.column("d")
@@ -391,10 +390,15 @@ def test_evaluation_harness(admissions, random_tables):
             score *= Fraction(hits + 1, len(rows) + len(tiny.condition[pos].domain))
         return score
 
+    # each query, labelled with the oracle's class, is fold 1's one test row
+    plan = FoldPlan(2, (0,) * tiny.m + (1,))
     for query in itertools.product((0, 1), repeat=2):
         scores = [posterior(cls, query) for cls in (0, 1)]
         want = max((0, 1), key=lambda cls: (scores[cls], -cls))
-        if nb_predict(model, query) != want:
+        asked = [col._replace(codes=col.codes + (code,))
+                 for col, code in zip(tiny.condition + (tiny.decision,), query + (want,))]
+        report = cross_validate(DecisionTable(asked[:-1], asked[-1]), plan, "nb")
+        if report.fold_accuracies[1] != 1.0:
             failures.append(f"nb prediction for {query} disagrees with the oracle")
 
     ok = not failures

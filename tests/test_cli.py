@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from rredux.cli import main
-from rredux.jsonout import canonical
+from rredux.jsonout import ExactFloat, canonical
 
 DATA = Path(__file__).parent / "data"
 ADMISSIONS = str(DATA / "admissions.csv")
@@ -131,6 +131,20 @@ NUMERIC_EVAL_1NN_JSON = (
     '"fold_accuracies": [1.000000, 1.000000, 1.000000], '
     '"mean_accuracy": 1.000000}, "reduct": ["na", "mg", "al"], '
     '"seed": 5}\n'
+)
+
+# ``evaluate --input admissions.csv --folds 8 --classifier nb --output json``:
+# eight folds of one test row each, byte for byte
+ADMISSIONS_LOO_NB_JSON = (
+    '{"classifier": "nb", "delta": 0.000000, "folds": 8, '
+    '"full": {"attrs": ["i", "e", "f", "r"], "consistency": 1.000000, '
+    '"fold_accuracies": [0.000000, 0.000000, 0.000000, 1.000000, 1.000000, '
+    '0.000000, 0.000000, 0.000000], "mean_accuracy": 0.250000}, '
+    '"isolated": ["i", "e"], '
+    '"reduced": {"attrs": ["i", "e", "r"], "consistency": 1.000000, '
+    '"fold_accuracies": [0.000000, 0.000000, 0.000000, 1.000000, 1.000000, '
+    '0.000000, 0.000000, 0.000000], "mean_accuracy": 0.250000}, '
+    '"reduct": ["r", "i", "e"], "seed": 0}\n'
 )
 
 
@@ -551,6 +565,15 @@ class TestEvaluate:
         assert (code, err) == (0, "")
         assert out == golden
 
+    def test_one_row_folds_json_golden(self, monkeypatch):
+        monkeypatch.delenv("RREDUX_SEED", raising=False)
+        code, out, err = run_cli(
+            "evaluate", "--input", ADMISSIONS, "--folds", "8", "--classifier", "nb",
+            "--output", "json",
+        )
+        assert (code, err) == (0, "")
+        assert out == ADMISSIONS_LOO_NB_JSON
+
     def test_numeric_input_discretized_internally(self):
         code, out, _ = run_cli(
             "evaluate", "--input", NUMERIC, "--folds", "3", "--seed", "11",
@@ -632,6 +655,15 @@ class TestJsonEmitter:
     def test_unsupported_type_rejected(self):
         with pytest.raises(TypeError):
             canonical({"x": object()})
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), [1.0, float("inf")],
+        {"x": -float("inf")}, ExactFloat("nan"),
+    ])
+    def test_non_finite_float_rejected(self, value):
+        # ``nan``, ``inf`` and ``-inf`` are not JSON: ``json.loads`` refuses them
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            canonical(value)
 
 
 class TestEntryPoint:

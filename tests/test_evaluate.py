@@ -12,10 +12,10 @@ from rredux import (
     stratified_folds,
 )
 import rredux.evaluate
-from rredux.evaluate import CLASSIFIERS, EvalReport, FoldPlan, nb_predict, nb_train, nearest_row
+from rredux.evaluate import CLASSIFIERS, EvalReport, FoldPlan, nb_fold, nearest_row
 from rredux.table import DecisionTable, RawColumn, project, row_masks
 from rredux.jsonout import canonical
-from conftest import make_random_table, raw_column
+from conftest import make_random_table, nb_classes, raw_column
 
 
 def fold_sizes(plan):
@@ -126,18 +126,15 @@ def tiny_table(a_cells, d_cells):
 
 
 class TestNaiveBayes:
+    # the test rows' own decisions are never read: they are the queries
     def test_hand_posterior(self):
-        train = tiny_table(("0", "0", "1", "1"), ("c0", "c0", "c1", "c1"))
-        model = nb_train(train, range(train.m))
+        table = tiny_table(("0", "0", "1", "1", "0", "1"), ("c0", "c0", "c1", "c1", "c0", "c0"))
         # alpha=1: P(a=0|c0) = 3/4 vs P(a=0|c1) = 1/4, equal priors
-        assert nb_predict(model, (0,)) == 0
-        assert nb_predict(model, (1,)) == 1
+        assert nb_classes(table, [4, 5]) == [0, 1]
 
     def test_single_class_always_wins(self):
-        train = tiny_table(("0", "1", "2"), ("only", "only", "only"))
-        model = nb_train(train, range(train.m))
-        for value in range(3):
-            assert nb_predict(model, (value,)) == 0
+        table = tiny_table(("0", "1", "2") * 2, ("only",) * 6)
+        assert nb_classes(table, [3, 4, 5]) == [0, 0, 0]
 
     def test_unseen_value_is_smoothed(self):
         cols = [
@@ -145,13 +142,12 @@ class TestNaiveBayes:
             raw_column("d", ("y", "y", "n", "n", "n")),
         ]
         full = from_columns(cols, "d")
-        model = nb_train(full, [0, 1, 2, 3])  # value "2" never seen in training
-        assert nb_predict(model, (2,)) in (0, 1)
+        # value "2" is never seen in training: 1/5 for either class, a tie
+        assert nb_classes(full, [4]) == [0]
 
     def test_tie_breaks_to_lowest_class_code(self):
-        train = tiny_table(("0", "0"), ("first", "second"))
-        model = nb_train(train, range(train.m))
-        assert nb_predict(model, (0,)) == 0
+        table = tiny_table(("0", "0", "0"), ("first", "second", "second"))
+        assert nb_classes(table, [2]) == [0]
 
 
 class TestOneNearestNeighbour:
@@ -280,19 +276,21 @@ class TestCrossValidateAndCompare:
                 assert report.mean_accuracy == math.fsum(report.fold_accuracies) / k
 
     def test_classifiers_get_one_code_per_attribute_and_training_rows(self, monkeypatch):
-        """nb_predict and nearest_row do not check their arguments; their
-        one caller, cross_validate, passes a full row and a non-empty train."""
+        """nb_fold and nearest_row do not check their arguments; their one
+        caller, cross_validate, passes one count per attribute and a fold
+        with both test and training rows, or a full row and a non-empty
+        train."""
         calls = []
 
-        def nb(model, values):
-            calls.append(all(len(values) == len(terms) for _, _, terms in model))
-            return nb_predict(model, values)
+        def nb(table, totals, class_totals, test):
+            calls.append(len(totals) == len(table.condition) and 0 < len(test) < table.m)
+            return nb_fold(table, totals, class_totals, test)
 
         def nn(masks, train, values):
             calls.append(len(values) == len(masks) and train != 0)
             return nearest_row(masks, train, values)
 
-        monkeypatch.setattr(rredux.evaluate, "nb_predict", nb)
+        monkeypatch.setattr(rredux.evaluate, "nb_fold", nb)
         monkeypatch.setattr(rredux.evaluate, "nearest_row", nn)
         rng = random.Random(97)
         for _ in range(60):

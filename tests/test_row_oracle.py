@@ -7,9 +7,9 @@ from collections import Counter
 
 import eval_oracle
 from rredux import cross_validate, from_columns, stratified_folds
-from rredux.evaluate import CLASSIFIERS, nb_predict, nb_train, nearest_row
-from rredux.table import row_masks
-from conftest import raw_column
+from rredux.evaluate import CLASSIFIERS, nearest_row
+from rredux.table import DecisionTable, row_masks
+from conftest import nb_classes, raw_column
 from keyed_table_oracle import keyed
 
 TABLES = 240
@@ -41,16 +41,18 @@ def oracle_predictions(rows, domain_sizes, train, test):
     }
 
 
-def table_predictions(table, train, test):
+def onenn_predictions(table, train, test):
     rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
     decisions = table.column(table.decision_attr)
-    model = nb_train(table, train)
     masks = row_masks(table)
     train_bits = sum(1 << i for i in train)
-    return {
-        "nb": [nb_predict(model, rows[i]) for i in test],
-        "1nn": [decisions[nearest_row(masks, train_bits, rows[i])] for i in test],
-    }
+    return [decisions[nearest_row(masks, train_bits, rows[i])] for i in test]
+
+
+def table_predictions(table, train, test):
+    """Naive Bayes trains on the rows outside ``test``, as in
+    ``cross_validate``; ``train`` holds just those rows."""
+    return {"nb": nb_classes(table, test), "1nn": onenn_predictions(table, train, test)}
 
 
 def test_columns_and_classifiers_match_row_oracle():
@@ -68,11 +70,12 @@ def test_columns_and_classifiers_match_row_oracle():
         sizes = [len(domains[a]) for a in condition]
         assert (eval_oracle.nb_train(keyed(table), range(table.m))
                 == eval_oracle.nb_train_rows(rows, sizes))
-        # train on every row and predict every row: the only split of one row
+        # 1-NN trained on every row predicts every row: the only split of
+        # one row; naive Bayes never predicts the rows it trains on
         everything = range(table.m)
-        assert table_predictions(table, everything, everything) == oracle_predictions(
+        assert onenn_predictions(table, everything, everything) == oracle_predictions(
             rows, sizes, everything, everything
-        )
+        )["1nn"]
         shapes["single row"] += table.m == 1
         shapes["single class"] += len(domains["d"]) == 1
         if table.m < 2:
@@ -95,26 +98,28 @@ def test_columns_and_classifiers_match_row_oracle():
 
 
 def test_nb_log_terms_match_count_oracle():
-    """Log terms trained once per fold predict what the per-prediction
-    count model did, including codes unseen in training and classes
-    absent from the training rows."""
+    """Log terms built per fold from counts over all rows, less the test
+    rows' own, predict what the per-prediction count model did, including
+    codes unseen in training and classes absent from the training rows."""
     rng = random.Random(11)
     shapes = Counter()
     for index in range(TABLES):
         table = from_columns(random_columns(rng, index), "d")
-        decisions = table.column("d")
         train = sorted(rng.sample(range(table.m), rng.randint(1, table.m)))
-        model = nb_train(table, train)
+        # every row outside train, then 20 more rows over the whole domains
+        columns = [
+            col._replace(codes=col.codes + tuple(rng.randrange(len(col.domain)) for _ in range(20)))
+            for col in table.condition + (table.decision,)
+        ]
+        table = DecisionTable(columns[:-1], columns[-1])
+        test = sorted(set(range(table.m)).difference(train))
         oracle = eval_oracle.nb_train(keyed(table), train)
-        # every row of the table, then random rows over the whole domains
         rows = list(zip(*(table.column(a) for a in table.condition_attrs)))
-        sizes = [len(col.domain) for col in table.condition]
-        rows += [tuple(rng.randrange(n) for n in sizes) for _ in range(20)]
-        for values in rows:
-            assert nb_predict(model, values) == eval_oracle.nb_predict(oracle, values)
+        assert nb_classes(table, test) == [eval_oracle.nb_predict(oracle, rows[i]) for i in test]
         seen = [{table.column(a)[i] for i in train} for a in table.condition_attrs]
         shapes["unseen code"] += any(
-            v not in codes for values in rows for v, codes in zip(values, seen)
+            v not in codes for i in test for v, codes in zip(rows[i], seen)
         )
+        decisions = table.column("d")
         shapes["absent class"] += len({decisions[i] for i in train}) < len(set(decisions))
     assert min(shapes.values()) >= 10, shapes
